@@ -12,31 +12,38 @@ let deletable (u : Uop.t) =
   | Uop.Oalu _ -> true
   | _ -> false
 
-let run ~code_base prog =
+let max_rounds = 8
+
+(* Rounds over one decode: deleting a use can kill its feeder (movi
+   chains), so each round re-solves liveness with the deletions so far
+   masked out, up to [max_rounds]. A deletion only lets branch targets
+   slide to the next surviving instruction, so the masked solution is
+   the one the rebuilt program would give, and one [Edit.rebuild] at
+   the end lays out every round's deletions at once. *)
+let run_fix ~code_base prog =
   let uops = Uop.decode prog ~code_base in
   let cfg = Cfg.build uops in
-  let live = Liveness.compute uops cfg in
-  let edit = Edit.create (Program.instrs prog) in
-  let count = ref 0 in
-  Array.iteri
-    (fun i (u : Uop.t) ->
-      if deletable u && Array.length u.Uop.writes = 1 then begin
-        let d = u.Uop.writes.(0) in
-        if not (Liveness.is_live live.Liveness.live_out.(i) d) then begin
-          Edit.delete edit i;
-          incr count
-        end
-      end)
-    uops;
-  if Edit.changed edit then (Edit.rebuild edit, !count) else (prog, 0)
-
-(* Iterate: deleting a use can kill its feeder (movi chains). *)
-let run_fix ~code_base prog =
-  let rec go prog total round =
-    if round >= 8 then (prog, total)
+  let dead = Array.make (Array.length uops) false in
+  let rec go total round =
+    if round >= max_rounds then total
     else begin
-      let prog', n = run ~code_base prog in
-      if n = 0 then (prog, total) else go prog' (total + n) (round + 1)
+      let live = Liveness.compute ~dead uops cfg in
+      let count = ref 0 in
+      Array.iteri
+        (fun i (u : Uop.t) ->
+          if (not dead.(i)) && deletable u && Array.length u.Uop.writes = 1 then
+            if not (Liveness.is_live live.Liveness.live_out.(i) u.Uop.writes.(0)) then begin
+              dead.(i) <- true;
+              incr count
+            end)
+        uops;
+      if !count = 0 then total else go (total + !count) (round + 1)
     end
   in
-  go prog 0 0
+  let total = go 0 0 in
+  if total = 0 then (prog, 0)
+  else begin
+    let edit = Edit.create (Program.instrs prog) in
+    Array.iteri (fun i d -> if d then Edit.delete edit i) dead;
+    (Edit.rebuild edit, total)
+  end

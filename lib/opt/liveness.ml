@@ -2,7 +2,12 @@
    bitmasks (one bit per [Reg.index]). Syscalls, HFI transitions and
    region instructions are treated as reading every register (the
    kernel and trusted runtime may inspect any of them); [Halt] exposes
-   the RAX result convention. *)
+   the RAX result convention.
+
+   Solved per block: each block's instructions fold into one gen/kill
+   pair, and a predecessor worklist re-solves only blocks whose
+   successors' live-in grew. The problem is union-only, so the least
+   fixpoint is unique and independent of visit order. *)
 
 let all_mask = (1 lsl Reg.count) - 1
 let rax_mask = 1 lsl Reg.index Reg.RAX
@@ -27,10 +32,12 @@ let gen_kill (u : Uop.t) =
 
 type t = { live_in : int array; live_out : int array }
 
-let compute (uops : Uop.t array) (cfg : Cfg.t) =
+(* [dead] marks instructions to treat as deleted: they neither read nor
+   write, exactly as if [Edit.rebuild] had dropped them. *)
+let compute ?dead (uops : Uop.t array) (cfg : Cfg.t) =
   let n = Array.length uops in
   let nb = Array.length cfg.Cfg.blocks in
-  let blk_in = Array.make nb 0 in
+  let is_dead = match dead with Some d -> fun i -> d.(i) | None -> fun _ -> false in
   let term_live (b : Cfg.block) =
     match b.Cfg.term with
     | Cfg.Thalt -> rax_mask
@@ -39,29 +46,44 @@ let compute (uops : Uop.t array) (cfg : Cfg.t) =
     | Cfg.Tfall None -> all_mask  (* running off the end: conservative *)
     | _ -> 0
   in
+  (* block transfer: live_in = gen | (live_out & ~kill) *)
+  let gen = Array.make nb 0 and kill = Array.make nb 0 in
+  Array.iter
+    (fun (blk : Cfg.block) ->
+      let b = blk.Cfg.id in
+      for i = blk.Cfg.last downto blk.Cfg.first do
+        if not (is_dead i) then begin
+          let g, k = gen_kill uops.(i) in
+          gen.(b) <- g lor (gen.(b) land lnot k);
+          kill.(b) <- kill.(b) lor k
+        end
+      done)
+    cfg.Cfg.blocks;
+  let preds = Dom.preds_of cfg in
+  let blk_in = Array.make nb 0 in
   let block_out b =
     let blk = cfg.Cfg.blocks.(b) in
     List.fold_left (fun acc s -> acc lor blk_in.(s)) (term_live blk) blk.Cfg.succs
   in
-  let transfer_block b out =
-    let blk = cfg.Cfg.blocks.(b) in
-    let live = ref out in
-    for i = blk.Cfg.last downto blk.Cfg.first do
-      let gen, kill = gen_kill uops.(i) in
-      live := !live land lnot kill lor gen
-    done;
-    !live
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for b = nb - 1 downto 0 do
-      let ni = transfer_block b (block_out b) in
-      if ni <> blk_in.(b) then begin
-        blk_in.(b) <- ni;
-        changed := true
-      end
-    done
+  let queue = Queue.create () in
+  let on_queue = Array.make nb true in
+  for b = nb - 1 downto 0 do
+    Queue.push b queue
+  done;
+  while not (Queue.is_empty queue) do
+    let b = Queue.pop queue in
+    on_queue.(b) <- false;
+    let ni = gen.(b) lor (block_out b land lnot kill.(b)) in
+    if ni <> blk_in.(b) then begin
+      blk_in.(b) <- ni;
+      List.iter
+        (fun p ->
+          if not on_queue.(p) then begin
+            on_queue.(p) <- true;
+            Queue.push p queue
+          end)
+        preds.(b)
+    end
   done;
   let live_in = Array.make n 0 in
   let live_out = Array.make n 0 in
@@ -70,8 +92,10 @@ let compute (uops : Uop.t array) (cfg : Cfg.t) =
     let live = ref (block_out b) in
     for i = blk.Cfg.last downto blk.Cfg.first do
       live_out.(i) <- !live;
-      let gen, kill = gen_kill uops.(i) in
-      live := !live land lnot kill lor gen;
+      if not (is_dead i) then begin
+        let g, k = gen_kill uops.(i) in
+        live := !live land lnot k lor g
+      end;
       live_in.(i) <- !live
     done
   done;

@@ -89,7 +89,11 @@ let dfs cfg ~edges =
 let reachable cfg = dfs cfg ~edges:(fun b -> b.succs)
 
 let depth0_reachable ?(extra_edges = []) cfg =
-  let extra id = List.filter_map (fun (f, t) -> if f = id then Some t else None) extra_edges in
+  let nb = Array.length cfg.blocks in
+  let extra = Array.make nb [] in
+  List.iter
+    (fun (f, t) -> if f >= 0 && f < nb then extra.(f) <- t :: extra.(f))
+    (List.rev extra_edges);
   dfs cfg ~edges:(fun b ->
       let structural =
         match b.term with
@@ -101,4 +105,4 @@ let depth0_reachable ?(extra_edges = []) cfg =
         (* stop: executing ret here is exactly what the caller checks for *)
         | Tret | Tjump_ind | Thalt | Tout _ -> []
       in
-      structural @ extra b.id)
+      structural @ extra.(b.id))

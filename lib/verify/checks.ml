@@ -57,7 +57,14 @@ let verify_internal ?(name = "program") spec prog =
   if nb > 0 then begin
     let init = Vstate.initial () in
     let visits = Array.make nb 0 in
-    let edge_st : (int * int, Vstate.t) Hashtbl.t = Hashtbl.create 64 in
+    (* per target block: the latest contribution of each incoming edge,
+       as a list sorted by source block *)
+    let in_edges : (int * Vstate.t) list array = Array.make nb [] in
+    let rec set_edge s st = function
+      | ((s', _) as e) :: rest when s' < s -> e :: set_edge s st rest
+      | (s', _) :: rest when s' = s -> (s, st) :: rest
+      | edges -> (s, st) :: edges
+    in
     let queue = Queue.create () in
     let on_queue = Array.make nb false in
     let enqueue b =
@@ -72,14 +79,10 @@ let verify_internal ?(name = "program") spec prog =
        born first, so a fixed edge order keeps reports byte-identical
        run to run (and across --jobs shardings). *)
     let joined_in b =
-      let edges =
-        Hashtbl.fold (fun (s, t) st acc -> if t = b then (s, st) :: acc else acc) edge_st []
-        |> List.sort (fun (s1, _) (s2, _) -> compare (s1 : int) s2)
-      in
       let acc = if b = 0 then Some init else None in
       List.fold_left
         (fun acc (_, s) -> Some (match acc with None -> s | Some a -> Vstate.join a s))
-        acc edges
+        acc in_edges.(b)
     in
     let recompute b =
       match joined_in b with
@@ -116,10 +119,10 @@ let verify_internal ?(name = "program") spec prog =
       | Some s ->
         List.iter
           (fun (t, contrib) ->
-            match Hashtbl.find_opt edge_st (b, t) with
+            match List.assoc_opt b in_edges.(t) with
             | Some old when old = contrib -> ()
             | _ ->
-              Hashtbl.replace edge_st (b, t) contrib;
+              in_edges.(t) <- set_edge b contrib in_edges.(t);
               recompute t)
           (Transfer.simulate ctx ~record:false s cfg.Cfg.blocks.(b))
     in

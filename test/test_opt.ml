@@ -206,6 +206,126 @@ let test_liveness_branchy () =
   check_bool "RCX live on taken path" true (live_in 3 Reg.RCX);
   check_bool "halt keeps the result register live" true (live_in 4 Reg.RAX)
 
+(* The round-robin solver the worklist replaced, kept as the oracle:
+   sweep every block in reverse index order, instruction by
+   instruction, until no block's live-in changes. The last sweep changes
+   nothing, so the arrays it records are the fixpoint's. *)
+let oracle_liveness (uops : Uop.t array) (cfg : Cfg.t) =
+  let n = Array.length uops and nb = Array.length cfg.Cfg.blocks in
+  let live_in = Array.make n 0 and live_out = Array.make n 0 in
+  let blk_in = Array.make nb 0 in
+  let term_live (b : Cfg.block) =
+    match b.Cfg.term with
+    | Cfg.Thalt -> Liveness.rax_mask
+    | Cfg.Tjump_ind | Cfg.Tcall_ind _ | Cfg.Tout _ | Cfg.Tfall None -> Liveness.all_mask
+    | _ -> 0
+  in
+  let sweep_block b =
+    let blk = cfg.Cfg.blocks.(b) in
+    let live = ref (List.fold_left (fun acc s -> acc lor blk_in.(s)) (term_live blk) blk.Cfg.succs) in
+    for i = blk.Cfg.last downto blk.Cfg.first do
+      live_out.(i) <- !live;
+      let gen, kill = Liveness.gen_kill uops.(i) in
+      live := !live land lnot kill lor gen;
+      live_in.(i) <- !live
+    done;
+    !live
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for b = nb - 1 downto 0 do
+      let ni = sweep_block b in
+      if ni <> blk_in.(b) then begin
+        blk_in.(b) <- ni;
+        changed := true
+      end
+    done
+  done;
+  { Liveness.live_in; live_out }
+
+(* Every example program (hand-written, Sightglass, FaaS catalog) and
+   the ten SPEC-like profiles under all four strategies, reference and
+   optimized lowering, plus 200 fuzz-generator modules. The one gap:
+   SPEC-like modules optimized under bounds checks, whose check elision
+   alone takes about 90 s to build; the smaller bounds-checked modules
+   cover that lowering. *)
+let liveness_corpus =
+  lazy
+  (let lowerings = List.concat_map (fun s -> [ (s, false); (s, true) ]) Strategy.all in
+  let build lowerings (name, w) =
+    List.map
+      (fun (strategy, optimize) ->
+        ( Printf.sprintf "%s/%s/%s" name (Strategy.to_string strategy)
+            (if optimize then "opt" else "ref"),
+          Instance.build_program ~strategy ~optimize w ))
+      lowerings
+  in
+  let examples =
+    Hfi_workloads.Sightglass.all
+    @ List.map
+        (fun (f : Hfi_workloads.Faas_workloads.t) ->
+          (f.Hfi_workloads.Faas_workloads.name, f.Hfi_workloads.Faas_workloads.workload))
+        Hfi_workloads.Faas_workloads.all
+  in
+  let spec =
+    List.concat_map
+      (build (List.filter (( <> ) (Strategy.Bounds_checks, true)) lowerings))
+      (List.map
+         (fun (p : Hfi_workloads.Spec.profile) ->
+           (p.Hfi_workloads.Spec.name, Hfi_workloads.Spec.workload p))
+         Hfi_workloads.Spec.profiles)
+  in
+  let fuzzed =
+    List.init 200 (fun i ->
+        let m = Hfi_experiments.Fuzz.generate (Hfi_util.Prng.create ~seed:i) in
+        let strategy = List.nth Strategy.all (i mod 4) in
+        ( Printf.sprintf "fuzz-%d" i,
+          Instance.build_program ~strategy ~optimize:(i / 4 mod 2 = 1) (Wasm_compile.workload m) ))
+  in
+  (("loop", loop_prog) :: List.concat_map (build lowerings) examples) @ spec @ fuzzed)
+
+let check_live name (expect : Liveness.t) (actual : Liveness.t) =
+  check_bool (name ^ ": live_in") true (expect.Liveness.live_in = actual.Liveness.live_in);
+  check_bool (name ^ ": live_out") true (expect.Liveness.live_out = actual.Liveness.live_out)
+
+let test_liveness_matches_round_robin () =
+  List.iter
+    (fun (name, prog) ->
+      let uops = decode prog in
+      let cfg = Cfg.build uops in
+      check_live name (oracle_liveness uops cfg) (Liveness.compute uops cfg))
+    (Lazy.force liveness_corpus)
+
+(* Masking instructions as dead must give, instruction for instruction,
+   the solution of the program with them deleted: DCE's rounds rely on
+   it to skip the intermediate rebuilds. *)
+let test_liveness_dead_mask_matches_rebuild () =
+  let rng = Random.State.make [| 12 |] in
+  List.iter
+    (fun (name, prog) ->
+      let uops = decode prog in
+      let dead = Array.map (fun u -> Dce.deletable u && Random.State.int rng 3 = 0) uops in
+      let masked = Liveness.compute ~dead uops (Cfg.build uops) in
+      let edit = Edit.create (Program.instrs prog) in
+      Array.iteri (fun i d -> if d then Edit.delete edit i) dead;
+      let rebuilt = Edit.rebuild edit in
+      let ruops = decode rebuilt in
+      let live = Liveness.compute ruops (Cfg.build ruops) in
+      let j = ref 0 in
+      Array.iteri
+        (fun i d ->
+          if not d then begin
+            if
+              masked.Liveness.live_in.(i) <> live.Liveness.live_in.(!j)
+              || masked.Liveness.live_out.(i) <> live.Liveness.live_out.(!j)
+            then Alcotest.failf "%s: instr %d (rebuilt %d) liveness differs" name i !j;
+            incr j
+          end)
+        dead;
+      check_int (name ^ ": survivors") (Program.length rebuilt) !j)
+    (Lazy.force liveness_corpus)
+
 (* ------------------------------------------------------------------ *)
 (* Rewriting and DCE                                                    *)
 
@@ -252,6 +372,42 @@ let test_dce_removes_dead_def () =
   check_int "dead def swept" 2 (Program.length p);
   check_bool "live def kept" true
     (Array.exists (fun i -> i = Instr.Mov (Reg.RAX, Instr.Imm 2)) (Program.instrs p))
+
+(* Golden pipeline output on the largest SPEC-like modules: per-pass
+   change counts, final length and fingerprint. Any solver or pass
+   change that moves one bit of the optimized code shows up here. *)
+let opt_pins =
+  [
+    ("445.gobmk", Strategy.Hfi, [ 0; 0; 0; 132; 2010 ], 29916, "72b891fabb8308ebd0b74c7089974f39");
+    ("403.gcc", Strategy.Hfi, [ 0; 0; 0; 62; 1130 ], 17127, "8d19c662bf9d654d8990f091bdd1acb2");
+    ( "400.perlbench",
+      Strategy.Guard_pages,
+      [ 0; 0; 0; 31; 481 ],
+      8121,
+      "a8664c0603588d4594c4df6ed407c82c" );
+  ]
+
+let test_opt_golden_pins () =
+  List.iter
+    (fun (name, strategy, changed, length, fingerprint) ->
+      let tag = name ^ "/" ^ Strategy.to_string strategy in
+      let w = Hfi_workloads.Spec.workload (Hfi_workloads.Spec.find name) in
+      let conv =
+        Instance.opt_conv ~strategy ~heap_size:(Instance.round_to_wasm_page w.Instance.heap_bytes)
+      in
+      let results = Driver.passes conv (Instance.build_program ~strategy ~optimize:false w) in
+      Alcotest.(check (list string))
+        (tag ^ ": pass order")
+        [ "elide"; "reuse"; "hoist"; "rewrite"; "dce" ]
+        (List.map (fun r -> r.Driver.pass) results);
+      Alcotest.(check (list int))
+        (tag ^ ": changed per pass")
+        changed
+        (List.map (fun r -> r.Driver.changed) results);
+      let final = (List.nth results (List.length results - 1)).Driver.prog in
+      check_int (tag ^ ": length") length (Program.length final);
+      Alcotest.(check string) (tag ^ ": fingerprint") fingerprint (Program.fingerprint final))
+    opt_pins
 
 (* ------------------------------------------------------------------ *)
 (* SFI passes on codegen-shaped workloads                               *)
@@ -493,10 +649,15 @@ let suite =
     Alcotest.test_case "edit: insert_before is fallthrough-only" `Quick
       test_edit_insert_before_skipped_by_branch;
     Alcotest.test_case "liveness across branches" `Quick test_liveness_branchy;
+    Alcotest.test_case "liveness: worklist == round-robin oracle" `Quick
+      test_liveness_matches_round_robin;
+    Alcotest.test_case "liveness: dead mask == rebuilt program" `Quick
+      test_liveness_dead_mask_matches_rebuild;
     Alcotest.test_case "rewrite: constant folding" `Quick test_rewrite_const_fold;
     Alcotest.test_case "rewrite: strength reduction" `Quick test_rewrite_strength_reduction;
     Alcotest.test_case "rewrite: add-zero identity" `Quick test_rewrite_add_zero_identity;
     Alcotest.test_case "dce: dead definition swept" `Quick test_dce_removes_dead_def;
+    Alcotest.test_case "pipeline: golden pins (gobmk, gcc, perlbench)" `Quick test_opt_golden_pins;
     Alcotest.test_case "elide: provable checks stripped" `Quick test_elide_strips_provable_checks;
     Alcotest.test_case "reuse: redundant check dropped" `Quick test_reuse_drops_redundant_check;
     Alcotest.test_case "hoist: invariant check to preheader" `Quick test_hoist_moves_invariant_check;

@@ -470,6 +470,43 @@ let test_proof_binding () =
   | Proofcheck.Accepted -> Alcotest.fail "verifier-version mismatch accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Golden fixpoint pins on optimized code                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The worklist's visit count and the emitted invariants depend on the
+   exact join and queue order, so pinning them catches any change to
+   how edge contributions are stored or folded. *)
+let spec_program strategy name =
+  Instance.build_program ~strategy ~optimize:true
+    (Hfi_workloads.Spec.workload (Hfi_workloads.Spec.find name))
+
+let test_fixpoint_golden_pins () =
+  List.iter
+    (fun (name, iterations) ->
+      let prog = spec_program Strategy.Hfi name in
+      let r =
+        Checks.verify ~name { Checks.strategy = Strategy.Hfi; code_base = Layout.code_base } prog
+      in
+      check_str (name ^ " verdict") "safe" (Vreport.verdict_name r.Vreport.verdict);
+      check_int (name ^ " iterations") iterations r.Vreport.iterations)
+    [ ("445.gobmk", 27685); ("403.gcc", 14483) ];
+  List.iter
+    (fun (name, strategy, prog, md5) ->
+      let _, p =
+        Checks.verify_with_proof ~name { Checks.strategy; code_base = Layout.code_base } prog
+      in
+      match p with
+      | None -> Alcotest.failf "%s: no proof" name
+      | Some p -> check_str (name ^ " proof md5") md5 (Digest.to_hex (Digest.string (Proof.to_json p))))
+    [
+      ( "sieve",
+        Strategy.Guard_pages,
+        Instance.build_program ~strategy:Strategy.Guard_pages ~optimize:true (Sightglass.find "sieve"),
+        "a8c0015e6112b0835b513c7780d9ff3b" );
+      ("403.gcc", Strategy.Hfi, spec_program Strategy.Hfi "403.gcc", "e60019d4b10a70bcd2e7fcdf8d740071");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Persistent verdict cache: round-trip under an explicit directory     *)
 (* ------------------------------------------------------------------ *)
 
@@ -594,6 +631,8 @@ let suite =
     Alcotest.test_case "proof: emit, round-trip, revalidate" `Quick test_proof_roundtrip;
     Alcotest.test_case "proof: bound to strategy and verifier version" `Quick
       test_proof_binding;
+    Alcotest.test_case "fixpoint: golden iterations and proof digests" `Quick
+      test_fixpoint_golden_pins;
     Alcotest.test_case "verdict cache: round-trip, separation, corruption" `Quick
       test_verdict_cache_roundtrip;
     Alcotest.test_case "sweep: jobs=1 == jobs=4" `Quick test_sweep_jobs_deterministic;
