@@ -98,21 +98,17 @@ let micro_tests () =
   ]
 
 (* Per-tier timings: the same Sightglass kernel end-to-end (fast engine)
-   under each dispatch tier, so every BENCH_*.json records not just
-   which tier produced it but what the other tiers would have cost. One
-   warm-up round per tier charges the decode/compile caches exactly as
-   a real campaign's first instantiation would. *)
+   under the µop fast path and the AST reference, so every BENCH_*.json
+   records not just which path produced it but what the other would
+   have cost. One warm-up round per tier charges the decode cache
+   exactly as a real campaign's first instantiation would. *)
 module Machine = Hfi_pipeline.Machine
 
-let tier_flags = [ ("ast", false, false); ("uop", true, false); ("block", true, true) ]
+let tier_flags = [ ("ast", false); ("uop", true) ]
 
 let tier_timings () =
-  (* gimli: long straight-line permutation rounds, the shape the block
-     tier is built for (suffixes >= min_compile_len that actually
-     chain). Branch-dense kernels have 1-3 µop blocks that pin to the
-     interpreter and show parity, not spread. The warm-up round's
-     repeated instantiations push the round loop past the hotness
-     threshold, so the measured round runs fully compiled. *)
+  (* gimli: the kernel every earlier baseline timed, so tier figures
+     stay comparable across BENCH_*.json files. *)
   let w = Hfi_workloads.Sightglass.find "gimli" in
   let reps = 10 in
   let time_once () =
@@ -124,16 +120,12 @@ let tier_timings () =
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
   let saved_dispatch = !Machine.decode_dispatch in
-  let saved_block = !Machine.block_compile in
   Fun.protect
-    ~finally:(fun () ->
-      Machine.decode_dispatch := saved_dispatch;
-      Machine.block_compile := saved_block)
+    ~finally:(fun () -> Machine.decode_dispatch := saved_dispatch)
     (fun () ->
       List.map
-        (fun (name, dispatch, block) ->
+        (fun (name, dispatch) ->
           Machine.decode_dispatch := dispatch;
-          Machine.block_compile := block;
           ignore (time_once ());
           (* Best of three: a single round is at the mercy of the host
              scheduler and major-GC slices on shared runners. *)

@@ -50,16 +50,6 @@ let run_cmd =
     Arg.(value & flag
          & info [ "time" ] ~doc:"Print each experiment's wall-clock seconds after its report.")
   in
-  let tier =
-    Arg.(value
-         & opt (some (enum [ ("ast", `Ast); ("uop", `Uop); ("block", `Block) ])) None
-         & info [ "tier" ] ~docv:"TIER"
-             ~doc:
-               "Force the simulator execution tier: $(b,ast) (reference interpreter), \
-                $(b,uop) (pre-decoded \xc2\xb5op dispatch) or $(b,block) (block-compiled \
-                threaded dispatch, the default). Overrides HFI_DECODE_CACHE / \
-                HFI_BLOCK_COMPILE; results are identical across tiers.")
-  in
   let opt =
     Arg.(value
          & opt (some (enum [ ("on", true); ("off", false) ])) None
@@ -70,16 +60,7 @@ let run_cmd =
                 experiments that pin a lowering (e.g. the Fig. 3 wasm2c model) are \
                 unaffected.")
   in
-  let run quick time tier opt fuzz_seed fuzz_iters ids =
-    (match tier with
-    | None -> ()
-    | Some `Ast -> Hfi_pipeline.Machine.decode_dispatch := false
-    | Some `Uop ->
-      Hfi_pipeline.Machine.decode_dispatch := true;
-      Hfi_pipeline.Machine.block_compile := false
-    | Some `Block ->
-      Hfi_pipeline.Machine.decode_dispatch := true;
-      Hfi_pipeline.Machine.block_compile := true);
+  let run quick time opt fuzz_seed fuzz_iters ids =
     (match opt with None -> () | Some v -> Hfi_opt.Driver.enabled := v);
     if fuzz_seed <> None || fuzz_iters <> None then
       Hfi_experiments.Fuzz.configure ~seed:fuzz_seed ~iters:fuzz_iters;
@@ -105,8 +86,16 @@ let run_cmd =
           else Report.print (e.Registry.run ~quick ()))
       ids
   in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ quick $ time $ tier $ opt $ fuzz_seed $ fuzz_iters $ ids)
+  let envs =
+    [
+      Cmd.Env.info "HFI_DECODE_CACHE"
+        ~doc:
+          "Set to $(b,0) to execute on the reference AST interpreter instead of the \
+           pre-decoded \xc2\xb5op dispatch loop. Results are identical either way.";
+    ]
+  in
+  Cmd.v (Cmd.info "run" ~doc ~envs)
+    Term.(const run $ quick $ time $ opt $ fuzz_seed $ fuzz_iters $ ids)
 
 let spectre_cmd =
   let doc = "Run the Spectre-PHT/BTB proofs of concept (SS5.3, Fig. 7)." in

@@ -42,23 +42,17 @@ type t = {
          is redirected to the exit handler) *)
 }
 
-(* Dispatch-tier selection. Three tiers, fastest first:
+(* Dispatch selection. One fast path and one reference:
 
-     block  (default)            block-compiled closure chains
-     uop    (HFI_BLOCK_COMPILE=0) pre-decoded µop records
-     ast    (HFI_DECODE_CACHE=0)  reference match-on-AST interpreter
+     uop  (default)             pre-decoded µop records, a block at a time
+     ast  (HFI_DECODE_CACHE=0)  reference match-on-AST interpreter
 
-   [decode_dispatch = false] selects the AST tier regardless of
-   [block_compile]. All three must produce bit-identical modeled
-   results — the equivalence tests flip these in-process. *)
+   Both must produce bit-identical modeled results — the equivalence
+   tests flip [decode_dispatch] in-process. *)
 let decode_dispatch =
   ref (match Sys.getenv_opt "HFI_DECODE_CACHE" with Some "0" -> false | _ -> true)
 
-let block_compile =
-  ref (match Sys.getenv_opt "HFI_BLOCK_COMPILE" with Some "0" -> false | _ -> true)
-
-let dispatch_tier () =
-  if not !decode_dispatch then "ast" else if !block_compile then "block" else "uop"
+let dispatch_tier () = if !decode_dispatch then "uop" else "ast"
 
 let create ?signal_handler ~prog ~code_base ~mem ~kernel ~hfi ~entry () =
   {
@@ -210,7 +204,8 @@ let trace_commit t (info : exec_info) =
 
 (* ------------------------------------------------------------------ *)
 (* Reference interpreter: match on the instruction AST. Kept verbatim as
-   the semantic baseline the µop path is tested against. *)
+   the semantic baseline the µop path is tested against; only [run_ast]
+   (selected by HFI_DECODE_CACHE=0) calls it. *)
 
 let step t (observe : exec_info -> unit) =
   match t.status_ with
@@ -744,543 +739,6 @@ let run_uop t ~fuel observe =
   in
   outer ()
 
-(* ------------------------------------------------------------------ *)
-(* Block-compiled threaded dispatch: each µop is lowered ONCE per
-   program into a closure with its operands pre-bound — register slots,
-   immediates, effective-address shape, branch-info records — so the hot
-   path does no dispatch on the µop variant and no absent-operand tests
-   at all. Straight-line runs of a basic block are then fused into a
-   single superinstruction: closure [i] tail-calls closure [i+1]
-   directly while control stays sequential, returning the remaining fuel
-   to the outer loop only at block exits (threaded code, the software
-   analogue of gem5's decoded-µop execution tier).
-
-   Semantics are [step_uop]'s, duplicated case-for-case: each compiled
-   step builds the identical [exec_info] record from the same young
-   allocations in the same order, so observers (both engines, the trace,
-   GC timing) cannot tell the tiers apart. *)
-
-(* A compiled body performs just the opcode's effect; the shared step
-   wrapper supplies the fetch check, trap handling, and the exec_info
-   epilogue. Bodies raise [Trap_exn] exactly as [step_uop] cases do. *)
-type body = t -> access option ref -> branch_info option ref -> int ref -> unit
-
-(* Effective address with the absent-operand tests resolved at compile
-   time. Specialized forms compute the same sum as [ea_parts]. *)
-let compile_ea ~mbase ~midx ~mscale ~mdisp =
-  if mbase >= 0 then
-    if midx >= 0 then fun t -> rget t mbase + (rget t midx * mscale) + mdisp
-    else fun t -> rget t mbase + mdisp
-  else if midx >= 0 then fun t -> (rget t midx * mscale) + mdisp
-  else fun _ -> mdisp
-
-let compile_src ~sreg ~simm = if sreg >= 0 then fun t -> rget t sreg else fun _ -> simm
-
-(* [Instr.eval_cond] with the condition match done once. The unsigned
-   forms flip the sign bit, the same order [Instr.ucompare] computes. *)
-let compile_cond cond : int -> int -> bool =
-  match cond with
-  | Instr.Eq -> fun a b -> a = b
-  | Instr.Ne -> fun a b -> a <> b
-  | Instr.Lt -> fun a b -> a < b
-  | Instr.Le -> fun a b -> a <= b
-  | Instr.Gt -> fun a b -> a > b
-  | Instr.Ge -> fun a b -> a >= b
-  | Instr.Ult -> fun a b -> a lxor min_int < b lxor min_int
-  | Instr.Ule -> fun a b -> a lxor min_int <= b lxor min_int
-  | Instr.Ugt -> fun a b -> a lxor min_int > b lxor min_int
-  | Instr.Uge -> fun a b -> a lxor min_int >= b lxor min_int
-
-(* ALU specialized on operator and operand form. Division keeps its trap
-   semantics: an immediate divisor of zero compiles to an always-trap
-   body, shift immediates pre-mask their count. *)
-let compile_alu ~op ~d ~sreg ~simm : body =
-  if sreg >= 0 then
-    match op with
-    | Instr.Add -> fun t _ _ _ -> rset t d (rget t d + rget t sreg)
-    | Instr.Sub -> fun t _ _ _ -> rset t d (rget t d - rget t sreg)
-    | Instr.And -> fun t _ _ _ -> rset t d (rget t d land rget t sreg)
-    | Instr.Or -> fun t _ _ _ -> rset t d (rget t d lor rget t sreg)
-    | Instr.Xor -> fun t _ _ _ -> rset t d (rget t d lxor rget t sreg)
-    | Instr.Shl -> fun t _ _ _ -> rset t d (rget t d lsl (rget t sreg land 63))
-    | Instr.Shr -> fun t _ _ _ -> rset t d (rget t d lsr (rget t sreg land 63))
-    | Instr.Sar -> fun t _ _ _ -> rset t d (rget t d asr (rget t sreg land 63))
-    | Instr.Mul -> fun t _ _ _ -> rset t d (rget t d * rget t sreg)
-    | Instr.Div ->
-      fun t _ _ _ ->
-        let b = rget t sreg in
-        if b = 0 then raise (Trap_exn (Msr.Hardware_fault 0)) else rset t d (rget t d / b)
-  else
-    match op with
-    | Instr.Add -> fun t _ _ _ -> rset t d (rget t d + simm)
-    | Instr.Sub -> fun t _ _ _ -> rset t d (rget t d - simm)
-    | Instr.And -> fun t _ _ _ -> rset t d (rget t d land simm)
-    | Instr.Or -> fun t _ _ _ -> rset t d (rget t d lor simm)
-    | Instr.Xor -> fun t _ _ _ -> rset t d (rget t d lxor simm)
-    | Instr.Shl ->
-      let sh = simm land 63 in
-      fun t _ _ _ -> rset t d (rget t d lsl sh)
-    | Instr.Shr ->
-      let sh = simm land 63 in
-      fun t _ _ _ -> rset t d (rget t d lsr sh)
-    | Instr.Sar ->
-      let sh = simm land 63 in
-      fun t _ _ _ -> rset t d (rget t d asr sh)
-    | Instr.Mul -> fun t _ _ _ -> rset t d (rget t d * simm)
-    | Instr.Div ->
-      if simm = 0 then fun _ _ _ _ -> raise (Trap_exn (Msr.Hardware_fault 0))
-      else fun t _ _ _ -> rset t d (rget t d / simm)
-
-let compile_body (u : Uop.t) : body =
-  let index = u.Uop.index in
-  let fallthrough = index + 1 in
-  match u.Uop.op with
-  | Uop.Omov { d; sreg; simm } ->
-    if sreg >= 0 then fun t _ _ _ -> rset t d (rget t sreg)
-    else fun t _ _ _ -> rset t d simm
-  | Uop.Oload { bytes; d; mbase; midx; mscale; mdisp } ->
-    (* base+disp is the dominant address shape; inlining it avoids the
-       extra closure hop on every load. *)
-    if mbase >= 0 && midx < 0 then
-      fun t mem_acc _ _ ->
-        let addr = rget t mbase + mdisp in
-        mem_acc := Some { addr; bytes; write = false; via_hmov = false };
-        rset t d (data_access t ~addr ~bytes ~write:false ~value:0)
-    else
-      let ea = compile_ea ~mbase ~midx ~mscale ~mdisp in
-      fun t mem_acc _ _ ->
-        let addr = ea t in
-        mem_acc := Some { addr; bytes; write = false; via_hmov = false };
-        rset t d (data_access t ~addr ~bytes ~write:false ~value:0)
-  | Uop.Ostore { bytes; mask; mbase; midx; mscale; mdisp; sreg; simm } ->
-    if mbase >= 0 && midx < 0 && sreg >= 0 then
-      fun t mem_acc _ _ ->
-        let addr = rget t mbase + mdisp in
-        mem_acc := Some { addr; bytes; write = true; via_hmov = false };
-        ignore (data_access t ~addr ~bytes ~write:true ~value:(rget t sreg land mask))
-    else
-      let ea = compile_ea ~mbase ~midx ~mscale ~mdisp in
-      let src = compile_src ~sreg ~simm in
-      fun t mem_acc _ _ ->
-        let addr = ea t in
-        mem_acc := Some { addr; bytes; write = true; via_hmov = false };
-        ignore (data_access t ~addr ~bytes ~write:true ~value:(src t land mask))
-  | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } ->
-    fun t mem_acc _ _ ->
-      let addr = hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write:false in
-      mem_acc := Some { addr; bytes; write = false; via_hmov = true };
-      rset t d (hmov_paged_access t ~addr ~bytes ~write:false ~value:0)
-  | Uop.Ohstore { region; bytes; mask; midx; mscale; mdisp; sreg; simm } ->
-    let src = compile_src ~sreg ~simm in
-    fun t mem_acc _ _ ->
-      let addr = hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write:true in
-      mem_acc := Some { addr; bytes; write = true; via_hmov = true };
-      ignore (hmov_paged_access t ~addr ~bytes ~write:true ~value:(src t land mask))
-  | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
-    let ea = compile_ea ~mbase ~midx ~mscale ~mdisp in
-    fun t _ _ _ -> rset t d (ea t)
-  | Uop.Oalu { op; d; sreg; simm } -> compile_alu ~op ~d ~sreg ~simm
-  | Uop.Ocmp { d; sreg; simm } ->
-    let src = compile_src ~sreg ~simm in
-    fun t _ _ _ ->
-      t.cmp_b <- src t;
-      t.cmp_a <- rget t d
-  | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
-    let ea = compile_ea ~mbase ~midx ~mscale ~mdisp in
-    fun t mem_acc _ _ ->
-      let addr = ea t in
-      mem_acc := Some { addr; bytes = 8; write = false; via_hmov = false };
-      let b = data_access t ~addr ~bytes:8 ~write:false ~value:0 in
-      t.cmp_b <- b;
-      t.cmp_a <- rget t d
-  | Uop.Ojmp tgt ->
-    (* branch_info is immutable and constant here: allocate it once at
-       compile time instead of per execution. *)
-    let binfo = Some { kind = Uncond; taken = true; target = tgt; fallthrough } in
-    fun _ _ branch next ->
-      next := tgt;
-      branch := binfo
-  | Uop.Ojcc { cond; target } ->
-    let test = compile_cond cond in
-    let taken_info = Some { kind = Cond; taken = true; target; fallthrough } in
-    let fall_info = Some { kind = Cond; taken = false; target = fallthrough; fallthrough } in
-    fun t _ branch next ->
-      if test t.cmp_a t.cmp_b then begin
-        next := target;
-        branch := taken_info
-      end
-      else branch := fall_info
-  | Uop.Ojmp_ind r ->
-    fun t _ branch next -> begin
-      let a = rget t r in
-      match index_of_addr t a with
-      | Some i ->
-        next := i;
-        branch := Some { kind = Indirect; taken = true; target = i; fallthrough }
-      | None -> raise (Trap_exn (Msr.Hardware_fault a))
-    end
-  | Uop.Ocall tgt ->
-    let binfo = Some { kind = Call_k; taken = true; target = tgt; fallthrough } in
-    fun t mem_acc branch next ->
-      let rsp = rget t rsp_i - 8 in
-      rset t rsp_i rsp;
-      mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
-      ignore
-        (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(addr_of_index t fallthrough));
-      next := tgt;
-      branch := binfo
-  | Uop.Ocall_ind r ->
-    fun t mem_acc branch next -> begin
-      let a = rget t r in
-      match index_of_addr t a with
-      | Some i ->
-        let rsp = rget t rsp_i - 8 in
-        rset t rsp_i rsp;
-        mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
-        ignore
-          (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(addr_of_index t fallthrough));
-        next := i;
-        branch := Some { kind = Call_k; taken = true; target = i; fallthrough }
-      | None -> raise (Trap_exn (Msr.Hardware_fault a))
-    end
-  | Uop.Oret ->
-    fun t mem_acc branch next -> begin
-      let rsp = rget t rsp_i in
-      mem_acc := Some { addr = rsp; bytes = 8; write = false; via_hmov = false };
-      let ra = data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0 in
-      rset t rsp_i (rsp + 8);
-      match index_of_addr t ra with
-      | Some i ->
-        next := i;
-        branch := Some { kind = Ret_k; taken = true; target = i; fallthrough }
-      | None -> raise (Trap_exn (Msr.Hardware_fault ra))
-    end
-  | Uop.Opush r ->
-    fun t mem_acc _ _ ->
-      let rsp = rget t rsp_i - 8 in
-      rset t rsp_i rsp;
-      mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
-      ignore (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(rget t r))
-  | Uop.Opop r ->
-    fun t mem_acc _ _ ->
-      let rsp = rget t rsp_i in
-      mem_acc := Some { addr = rsp; bytes = 8; write = false; via_hmov = false };
-      rset t r (data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0);
-      rset t rsp_i (rsp + 8)
-  | Uop.Osyscall ->
-    fun t _ _ next -> begin
-      let number = rget t rax_i in
-      match Hfi.on_syscall t.hfi ~number with
-      | `Allow ->
-        let result =
-          Kernel.dispatch t.kernel ~number ~arg0:(rget t rdi_i) ~arg1:(rget t rsi_i)
-            ~arg2:(rget t rdx_i)
-        in
-        rset t rax_i result
-      | `Redirect h -> begin
-        t.resume <- Some fallthrough;
-        match index_of_addr t h with
-        | Some i -> next := i
-        | None -> raise (Trap_exn (Msr.Hardware_fault h))
-      end
-      | `Fault -> raise (Trap_exn (Msr.Syscall_trap number))
-    end
-  | Uop.Ohfi_enter spec ->
-    fun t _ _ next -> begin
-      match Hfi.exec_enter t.hfi spec with
-      | Hfi.Continue -> ()
-      | Hfi.Jump a -> begin
-        match index_of_addr t a with
-        | Some i -> next := i
-        | None -> raise (Trap_exn (Msr.Hardware_fault a))
-      end
-      | Hfi.Trap r -> raise (Trap_exn r)
-    end
-  | Uop.Ohfi_exit ->
-    fun t _ _ next -> begin
-      match Hfi.exec_exit t.hfi with
-      | Hfi.Continue -> ()
-      | Hfi.Jump a -> begin
-        match index_of_addr t a with
-        | Some i -> next := i
-        | None -> raise (Trap_exn (Msr.Hardware_fault a))
-      end
-      | Hfi.Trap r -> raise (Trap_exn r)
-    end
-  | Uop.Ohfi_reenter ->
-    fun t _ _ next -> begin
-      match Hfi.exec_reenter t.hfi with
-      | Hfi.Continue -> begin
-        match t.resume with
-        | Some i ->
-          next := i;
-          t.resume <- None
-        | None -> ()
-      end
-      | Hfi.Jump a -> begin
-        match index_of_addr t a with
-        | Some i -> next := i
-        | None -> raise (Trap_exn (Msr.Hardware_fault a))
-      end
-      | Hfi.Trap r -> raise (Trap_exn r)
-    end
-  | Uop.Ohfi_set_region { slot; region } ->
-    fun t _ _ _ -> begin
-      match Hfi.exec_set_region t.hfi ~slot region with
-      | Hfi.Continue -> ()
-      | Hfi.Jump _ -> ()
-      | Hfi.Trap reason -> raise (Trap_exn reason)
-    end
-  | Uop.Ohfi_clear_region slot ->
-    fun t _ _ _ -> begin
-      match Hfi.exec_clear_region t.hfi ~slot with
-      | Hfi.Continue | Hfi.Jump _ -> ()
-      | Hfi.Trap reason -> raise (Trap_exn reason)
-    end
-  | Uop.Ohfi_clear_all ->
-    fun t _ _ _ -> begin
-      match Hfi.exec_clear_all t.hfi with
-      | Hfi.Continue | Hfi.Jump _ -> ()
-      | Hfi.Trap reason -> raise (Trap_exn reason)
-    end
-  | Uop.Ohfi_get_region { slot; d } ->
-    fun t _ _ _ -> begin
-      match Hfi.exec_get_region t.hfi ~slot with
-      | Ok v -> rset t d v
-      | Error reason -> raise (Trap_exn reason)
-    end
-  | Uop.Ocpuid ->
-    fun t _ _ _ ->
-      rset t rax_i 0;
-      rset t rbx_i 0;
-      rset t rcx_i 0;
-      rset t rdx_i 0
-  | Uop.Ordtsc d -> fun t _ _ _ -> rset t d (t.now ())
-  | Uop.Ordmsr d -> fun t _ _ _ -> rset t d (Msr.encode (Hfi.exit_reason t.hfi))
-  | Uop.Oclflush { mbase; midx; mscale; mdisp } ->
-    let ea = compile_ea ~mbase ~midx ~mscale ~mdisp in
-    fun t _ _ _ -> t.on_flush (ea t)
-  | Uop.Omfence | Uop.Onop -> fun _ _ _ _ -> ()
-  | Uop.Ohalt -> fun t _ _ _ -> t.status_ <- Halted
-
-(* One compiled step: [step_uop]'s prologue and epilogue, with the
-   opcode dispatch replaced by the pre-compiled body. A top-level known
-   function rather than a per-µop closure, so block-entry call sites
-   compile to a direct call (the body call is the only indirect one
-   left) and each µop costs one closure less to lower; the per-µop
-   constants are plain field loads from the µop record.
-
-   The scratch refs stay freshly allocated per execution, exactly as in
-   [step_uop]: hoisting them into a (promoted) closure looks like an
-   obvious saving but creates old-to-young pointers on every body write,
-   and the remembered-set traffic then promotes every access record that
-   would otherwise die in the minor heap — measurably slower. *)
-let exec_compiled t (observe : exec_info -> unit) (u : Uop.t) (body : body) : status =
-  let index = u.Uop.index in
-  let pc_addr = u.Uop.fetch_addr in
-  let mem_acc = ref None in
-  let branch = ref None in
-  let signal = ref None in
-  let next = ref (index + 1) in
-  let kcycles0 = Kernel.cycles t.kernel in
-  let drains0 = (Hfi.stats t.hfi).Hfi.drains in
-  t.instr_count <- t.instr_count + 1;
-  (try
-     check_ifetch t ~addr:pc_addr;
-     body t mem_acc branch next
-   with Trap_exn reason -> begin
-     signal := Some reason;
-     t.last_signal <- Some reason;
-     t.last_fault <- Some (Msr.to_fault ~pc:pc_addr ~cycle:t.instr_count reason);
-     match t.signal_handler with
-     | Some h -> next := h
-     | None -> t.status_ <- Faulted reason
-   end);
-  let drains = (Hfi.stats t.hfi).Hfi.drains - drains0 in
-  let serializing = drains > 0 || u.Uop.base_serializing in
-  (* Same boxed-cycles fast path as [step]. *)
-  let kcycles1 = Kernel.cycles t.kernel in
-  let info =
-    {
-      index;
-      instr = u.Uop.instr;
-      uop = u;
-      mem = !mem_acc;
-      branch = !branch;
-      serializing;
-      kernel_cycles = (if kcycles1 = kcycles0 then 0.0 else kcycles1 -. kcycles0);
-      signal = !signal;
-    }
-  in
-  (match t.status_ with Running -> t.pc <- !next | Halted | Faulted _ -> ());
-  if !Hfi_obs.Obs.trace_enabled then trace_commit t info;
-  observe info;
-  t.status_
-
-(* A block entry takes the remaining fuel and returns what is left after
-   the straight-line run starting at its instruction. The chain encodes
-   [run_uop]'s inner-loop condition — continue only while Running, fuel
-   remains, we are not at the block end, and the pc actually advanced to
-   the fallthrough (a trap redirect or syscall jump breaks the chain even
-   on a non-branch) — with [block_last] and [i + 1] tests resolved at
-   compile time.
-
-   Compilation is lazy and hotness-gated, block-suffix at a time: every
-   slot starts as a shared thunk that interprets the straight-line range
-   through [step_uop] (byte-for-byte the [run_uop] inner loop) while the
-   entry point is cold, and lowers it to the fused closure chain only
-   once it has been entered [hot_threshold] times. One-shot code — fuzz
-   programs, fresh instantiations run a single time — therefore never
-   pays closure construction (an eager whole-program compile measurably
-   loses on short runs), while loop headers cross the threshold on their
-   second entry and run compiled from then on. The fused chains
-   themselves never see a thunk — an inner closure is captured only
-   after it has been compiled, so only the outer loop (entering through
-   [t.pc]) can hit one. Within a block the compiled region is always a
-   suffix: entering at [h < i] after a previous entry at [i] compiles
-   just [h .. i-1] and chains onto the existing entry for [i]. *)
-type block_entry = t -> (exec_info -> unit) -> int -> int
-
-(* Entries seen this many times compile; below it they interpret.
-   Lowering a µop costs a few hundred ns of closure construction (plus
-   the promotion of those closures out of the minor heap) and saves a
-   few ns per execution, so compilation only pays for genuinely hot
-   code — measured break-even is on the order of 100+ executions under
-   both engines. Short-lived instantiations (fuzz programs, quick-mode
-   experiment bodies running tens of iterations) stay on the [step_uop]
-   interpreter and match the µop tier's cost exactly. *)
-let hot_threshold = 64
-
-(* Fused chains only beat the interpreter when there is a chain: a
-   compiled entry adds a layer of closure indirection per µop, repaid by
-   resolving the block-end and fallthrough tests at compile time across
-   the suffix. Entries whose straight-line suffix is shorter than this
-   never compile — they are pinned to the interpreter once hot, which
-   also stops the hit counting. Branch-dense code (1-3 µop blocks) thus
-   matches the µop tier instead of paying for chains that cannot pay
-   back. *)
-let min_compile_len = 4
-
-let compile_entries (uops : Uop.t array) : block_entry array =
-  let n = Array.length uops in
-  let is_compiled = Array.make n false in
-  let hits = Array.make n 0 in
-  let entries : block_entry array = Array.make n (fun _ _ remaining -> remaining) in
-  let compile_from i =
-    let last = (Array.unsafe_get uops i).Uop.block_last in
-    (* The compiled part of this block is a suffix; find where it
-       starts so already-built entries (and their chains) are reused. *)
-    let first_done = ref (last + 1) in
-    (try
-       for j = i to last do
-         if Array.unsafe_get is_compiled j then begin
-           first_done := j;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    for j = !first_done - 1 downto i do
-      let u = Array.unsafe_get uops j in
-      let body = compile_body u in
-      let e =
-        if j = last then
-          fun t observe remaining ->
-            (match exec_compiled t observe u body with
-            | Running -> remaining - 1
-            | Halted | Faulted _ -> remaining)
-        else begin
-          let rest = entries.(j + 1) in
-          let expected = j + 1 in
-          fun t observe remaining ->
-            match exec_compiled t observe u body with
-            | Running ->
-              let remaining = remaining - 1 in
-              if remaining > 0 && t.pc = expected then rest t observe remaining
-              else remaining
-            | Halted | Faulted _ -> remaining
-        end
-      in
-      entries.(j) <- e;
-      is_compiled.(j) <- true
-    done
-  in
-  (* Cold path: [run_uop]'s inner loop verbatim, so an uncompiled entry
-     produces the exact same [step_uop] stream as the µop tier. *)
-  let interp_from t observe remaining =
-    let last = (Array.unsafe_get uops t.pc).Uop.block_last in
-    let i = ref t.pc in
-    let remaining = ref remaining in
-    let inner = ref true in
-    while !inner do
-      let u = Array.unsafe_get uops !i in
-      match step_uop t u observe with
-      | Running ->
-        decr remaining;
-        if !remaining > 0 && !i < last && t.pc = !i + 1 then incr i else inner := false
-      | Halted | Faulted _ -> inner := false
-    done;
-    !remaining
-  in
-  let thunk t observe remaining =
-    let pc = t.pc in
-    let seen = Array.unsafe_get hits pc + 1 in
-    Array.unsafe_set hits pc seen;
-    if seen >= hot_threshold then begin
-      let last = (Array.unsafe_get uops pc).Uop.block_last in
-      if last - pc + 1 >= min_compile_len then begin
-        compile_from pc;
-        (Array.unsafe_get entries pc) t observe remaining
-      end
-      else begin
-        (* Too short to repay chaining: pin the interpreter so this
-           entry stops counting hits. [compile_from] at an earlier
-           index in the block may still overwrite it with a chain. *)
-        Array.unsafe_set entries pc interp_from;
-        interp_from t observe remaining
-      end
-    end
-    else interp_from t observe remaining
-  in
-  for i = 0 to n - 1 do
-    Array.unsafe_set entries i thunk
-  done;
-  entries
-
-(* Compiled form cached per program beside the µop decode memo (same
-   [code_base] keying — see [Uop.derived]). The [exn] payload trick
-   mirrors [Uop.Decoded]. *)
-exception Compiled of block_entry array
-
-let compiled_entries t =
-  let slot = Uop.derived t.prog ~code_base:t.code_base in
-  match !slot with
-  | Some (Compiled entries) -> entries
-  | _ ->
-    let entries = compile_entries t.uops in
-    slot := Some (Compiled entries);
-    entries
-
-(* Outer loop of the block tier: identical shape to [run_uop], with the
-   inner while-loop replaced by one call into the fused block chain. *)
-let run_block t ~fuel observe =
-  let entries = compiled_entries t in
-  let len = Array.length entries in
-  let remaining = ref fuel in
-  let rec outer () =
-    if !remaining <= 0 then t.status_
-    else begin
-      match t.status_ with
-      | (Halted | Faulted _) as s -> s
-      | Running ->
-        if t.pc < 0 || t.pc >= len then out_of_range_fault t
-        else begin
-          remaining := (Array.unsafe_get entries t.pc) t observe !remaining;
-          outer ()
-        end
-    end
-  in
-  outer ()
-
 let run_ast t ~fuel observe =
   let remaining = ref fuel in
   let rec go () =
@@ -1296,9 +754,7 @@ let run_ast t ~fuel observe =
   go ()
 
 let run ?(fuel = max_int) t observe =
-  if not !decode_dispatch then run_ast t ~fuel observe
-  else if !block_compile then run_block t ~fuel observe
-  else run_uop t ~fuel observe
+  if !decode_dispatch then run_uop t ~fuel observe else run_ast t ~fuel observe
 
 type spec_effects = {
   spec_fetch : int -> unit;

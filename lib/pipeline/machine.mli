@@ -43,22 +43,14 @@ type exec_info = {
 
 val decode_dispatch : bool ref
 (** When true (default; [HFI_DECODE_CACHE=0] flips it at startup), [run]
-    dispatches on the pre-decoded µop form; when false it runs the
-    reference match-on-AST interpreter. All tiers produce bit-identical
-    architectural and modeled results — tests flip this in-process to
-    prove it. *)
-
-val block_compile : bool ref
-(** When true (default; [HFI_BLOCK_COMPILE=0] flips it at startup) and
-    {!decode_dispatch} is on, [run] executes block-compiled threaded
-    code: one pre-specialized closure per µop (operands, immediates, and
-    branch metadata bound at compile time), fused per basic block into a
-    single superinstruction chain, compiled once per program and cached
-    beside the decode memo. When false the µop-record interpreter runs
-    instead (the PR 3 mid tier). *)
+    dispatches on the pre-decoded µop form, a basic block at a time —
+    the one fast path. When false it runs the reference match-on-AST
+    interpreter, the oracle the µop path is tested against. Both produce
+    bit-identical architectural and modeled results; tests flip this
+    in-process to prove it. *)
 
 val dispatch_tier : unit -> string
-(** The tier [run] currently selects: ["ast"], ["uop"], or ["block"]. *)
+(** The path [run] currently selects: ["uop"] or ["ast"]. *)
 
 type status = Running | Halted | Faulted of Msr.t
 
@@ -110,15 +102,13 @@ val index_of_addr : t -> int -> int option
 val effective_address : t -> Instr.mem -> int
 (** Evaluate a memory operand against the current register file. *)
 
-val step : t -> (exec_info -> unit) -> status
-(** Execute one instruction via the reference AST interpreter; the
-    callback observes what happened before the status is returned. No-op
-    when already halted or faulted. *)
-
 val run : ?fuel:int -> t -> (exec_info -> unit) -> status
-(** Step until [Halted], [Faulted], or [fuel] instructions. Dispatches
-    per {!decode_dispatch} / {!block_compile}; all tiers observe
-    identical events. *)
+(** Step until [Halted], [Faulted], or [fuel] instructions, calling the
+    callback once per committed instruction before the next one starts.
+    No-op when already halted or faulted; an out-of-range pc faults.
+    Dispatches per {!decode_dispatch}; both paths observe identical
+    events, and a run resumed in [fuel]-sized slices observes the same
+    stream as one uninterrupted run. *)
 
 (** {1 Wrong-path speculation support}
 

@@ -29,7 +29,7 @@ let trace ?(limit = 200) m =
     let before = Array.copy (Machine.regs m) in
     let recorded = ref None in
     (match
-       Machine.step m (fun info ->
+       Machine.run ~fuel:1 m (fun info ->
            incr seq;
            let writes =
              List.filter_map

@@ -14,7 +14,8 @@ type entry = {
 val pp_entry : Format.formatter -> entry -> unit
 
 val trace : ?limit:int -> Machine.t -> entry list
-(** Run the machine on the fast engine, recording up to [limit]
+(** Run the machine one instruction at a time through {!Machine.run}
+    (the dispatch path the engines use), recording up to [limit]
     committed instructions (default 200). The machine keeps its final
     architectural state; the trace covers execution from its current
     point. *)

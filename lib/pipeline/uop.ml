@@ -367,32 +367,14 @@ let block_head uops i =
 
 (* Per-program decode cache, stored on the program itself through
    [Program.set_decoded]'s universal slot. fetch_addr bakes in the code
-   base, so the cache is keyed by it (a different base re-decodes).
-
-   The entry carries a second, initially-empty slot for artifacts
-   *derived from* the decoded array (the block-compiled closure chains
-   of lib/pipeline/machine.ml). Hanging it off the decode entry keeps
-   both caches keyed together: re-decoding for a different code base
-   allocates a fresh entry and the stale compiled form is dropped with
-   it. The payload is again an [exn] so this module needs no knowledge
-   of the consumer's type. *)
-exception Decoded of int * t array * exn option ref
-
-let fresh_entry prog ~code_base =
-  let uops = decode_fresh prog ~code_base in
-  Program.set_decoded prog (Decoded (code_base, uops, ref None));
-  uops
+   base, so the cache is keyed by it (a different base re-decodes). The
+   payload is an [exn] so [Program] needs no knowledge of this type. *)
+exception Decoded of int * t array
 
 let decode prog ~code_base =
   match Program.decoded prog with
-  | Some (Decoded (base, uops, _)) when base = code_base -> uops
-  | _ -> fresh_entry prog ~code_base
-
-let derived prog ~code_base =
-  match Program.decoded prog with
-  | Some (Decoded (base, _, slot)) when base = code_base -> slot
+  | Some (Decoded (base, uops)) when base = code_base -> uops
   | _ ->
-    ignore (fresh_entry prog ~code_base);
-    (match Program.decoded prog with
-    | Some (Decoded (_, _, slot)) -> slot
-    | _ -> assert false (* fresh_entry just stored a Decoded entry *))
+    let uops = decode_fresh prog ~code_base in
+    Program.set_decoded prog (Decoded (code_base, uops));
+    uops

@@ -92,18 +92,11 @@ val nop : t
 
 val decode : Program.t -> code_base:int -> t array
 (** Decoded form of the whole program, memoized on the program keyed by
-    [code_base]. *)
+    [code_base]. The memo holds the µop array and nothing else; a
+    different base re-decodes and replaces it. *)
 
 val decode_fresh : Program.t -> code_base:int -> t array
 (** Always re-decode, bypassing the memo (tests). *)
-
-val derived : Program.t -> code_base:int -> exn option ref
-(** Cache slot for artifacts derived from the decoded array (the block-
-    compiled closure chains of [Machine]), living alongside the decode
-    memo and keyed by the same [code_base]: re-decoding for a different
-    base drops the derived cache too. Decodes first if needed. The
-    payload is an [exn] (extensible-constructor trick) so the consumer
-    picks its own type without a dependency from this module. *)
 
 (** {1 Control-flow metadata — read-only view}
 

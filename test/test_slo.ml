@@ -183,7 +183,7 @@ let doc ~seconds ~p99 =
     {|{"schema_version": 6, "mode": "quick",
        "experiments": [{"id": "serve_steady", "status": "ok",
                         "seconds": %.3f, "data": {"hfi.p99_ms": %.3f}}],
-       "tiers": [{"tier": "block", "seconds_per_run": 0.3}]}|}
+       "tiers": [{"tier": "uop", "seconds_per_run": 0.3}]}|}
     seconds p99
 
 let parse s =

@@ -1,10 +1,8 @@
 (* The µop decode layer (lib/pipeline/uop.ml): pre-decoded metadata must
-   agree with the Instr functions it mirrors, and every execution tier —
-   µop dispatch and block-compiled threaded dispatch — must be
+   agree with the Instr functions it mirrors, and µop dispatch must be
    observationally identical to the reference AST interpreter:
    bit-identical modeled cycles, registers, and status on both engines
-   (this is what makes HFI_DECODE_CACHE / HFI_BLOCK_COMPILE pure
-   performance switches). *)
+   (this is what makes HFI_DECODE_CACHE a pure performance switch). *)
 
 open Hfi_isa
 open Hfi_pipeline
@@ -16,33 +14,21 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let exact_float = Alcotest.(check (float 0.0))
 
-type tier = Ast | Uop_dispatch | Block
+type tier = Ast | Uop_dispatch
 
-let tier_name = function Ast -> "ast" | Uop_dispatch -> "uop" | Block -> "block"
-let tiers = [ Ast; Uop_dispatch; Block ]
+let tier_name = function Ast -> "ast" | Uop_dispatch -> "uop"
+let tiers = [ Ast; Uop_dispatch ]
 
 let with_tier tier f =
-  let saved_d = !Machine.decode_dispatch in
-  let saved_b = !Machine.block_compile in
-  (match tier with
-  | Ast -> Machine.decode_dispatch := false
-  | Uop_dispatch ->
-    Machine.decode_dispatch := true;
-    Machine.block_compile := false
-  | Block ->
-    Machine.decode_dispatch := true;
-    Machine.block_compile := true);
-  Fun.protect
-    ~finally:(fun () ->
-      Machine.decode_dispatch := saved_d;
-      Machine.block_compile := saved_b)
-    f
+  let saved = !Machine.decode_dispatch in
+  Machine.decode_dispatch := (tier = Uop_dispatch);
+  Fun.protect ~finally:(fun () -> Machine.decode_dispatch := saved) f
 
 let test_dispatch_tier_names () =
   List.iter
     (fun t ->
       Alcotest.(check string)
-        "dispatch_tier reflects the flags" (tier_name t)
+        "dispatch_tier reflects the flag" (tier_name t)
         (with_tier t Machine.dispatch_tier))
     tiers
 
@@ -144,8 +130,8 @@ let test_static_successors_agree () =
       | Machine.Halted | Machine.Faulted _ -> ())
     (sample_instances ())
 
-(* Fast engine: cycles, rax, and status identical across all three
-   tiers, with the AST interpreter as the reference. *)
+(* Fast engine: cycles, rax, and status identical on both tiers, with
+   the AST interpreter as the reference. *)
 let test_fast_engine_equivalence () =
   List.iter
     (fun (name, w) ->
@@ -166,7 +152,7 @@ let test_fast_engine_equivalence () =
               check_bool (id ^ ": status") true (st = st_ref);
               check_int (id ^ ": rax") rax_ref rax;
               exact_float (id ^ ": fast cycles") c_ref c)
-            [ Uop_dispatch; Block ])
+            [ Uop_dispatch ])
         Strategy.all)
     Sightglass.all
 
@@ -204,7 +190,7 @@ let test_cycle_engine_equivalence () =
               check_bool (id ^ ": status") true
                 (r.Cycle_engine.status = r_ref.Cycle_engine.status);
               check_int (id ^ ": rax") rax_ref rax)
-            [ Uop_dispatch; Block ])
+            [ Uop_dispatch ])
         Strategy.all)
     Sightglass.all
 
@@ -225,13 +211,13 @@ let test_fig3_equivalence () =
                 (Printf.sprintf "%s/%s/%s" p.Hfi_workloads.Spec.name
                    (Strategy.to_string s) (tier_name t))
                 reference (with_tier t run))
-            [ Uop_dispatch; Block ])
+            [ Uop_dispatch ])
         Strategy.all)
     profiles
 
 (* Seeded differential fuzzing: generated Wasm modules, compiled under a
    rotating strategy, must produce the same outcome and the same modeled
-   cycles under every tier. *)
+   cycles on both tiers. *)
 let test_fuzz_differential () =
   let outcome_t = Alcotest.testable Hfi_wasm.Wasm_interp.pp_outcome ( = ) in
   let rng = Hfi_util.Prng.create ~seed:0xC0FFEE in
@@ -247,8 +233,89 @@ let test_fuzz_differential () =
         let id = Printf.sprintf "fuzz #%d (%s, %s)" k (Strategy.to_string strategy) (tier_name t) in
         Alcotest.check outcome_t (id ^ ": outcome") o_ref o;
         exact_float (id ^ ": cycles") c_ref c)
-      [ Uop_dispatch; Block ]
+      [ Uop_dispatch ]
   done
+
+(* Two committed events agree; the static [instr]/[uop] fields follow
+   from [index]. *)
+let same_event (a : Machine.exec_info) (b : Machine.exec_info) =
+  a.Machine.index = b.Machine.index
+  && a.Machine.mem = b.Machine.mem
+  && a.Machine.branch = b.Machine.branch
+  && a.Machine.serializing = b.Machine.serializing
+  && Float.equal a.Machine.kernel_cycles b.Machine.kernel_cycles
+  && a.Machine.signal = b.Machine.signal
+
+let final_state m = (Array.copy (Machine.regs m), Machine.status m, Machine.instr_count m)
+
+(* Fuel-sliced resumption: the scheduler preempts through [run ~fuel],
+   so a run may stop and resume anywhere, including mid-block. Driving
+   the µop path in slices of k must commit exactly the event stream and
+   final state of one uninterrupted AST run, and every slice that does
+   not end the run must commit exactly k instructions. *)
+let test_fuel_sliced_resume () =
+  List.iter
+    (fun (name, w) ->
+      List.iter
+        (fun s ->
+          let fresh () = Instance.machine (Instance.instantiate ~strategy:s w) in
+          let reference, ref_final =
+            with_tier Ast (fun () ->
+                let m = fresh () in
+                let evs = ref [] in
+                ignore (Machine.run m (fun i -> evs := i :: !evs));
+                (Array.of_list (List.rev !evs), final_state m))
+          in
+          let n = Array.length reference in
+          List.iter
+            (fun k ->
+              let id = Printf.sprintf "%s/%s/fuel=%d" name (Strategy.to_string s) k in
+              with_tier Uop_dispatch (fun () ->
+                  let m = fresh () in
+                  let seen = ref 0 in
+                  let observe i =
+                    if !seen >= n then Alcotest.failf "%s: ran past the reference" id;
+                    if not (same_event i reference.(!seen)) then
+                      Alcotest.failf "%s: event #%d differs" id !seen;
+                    incr seen
+                  in
+                  let rec slices () =
+                    let before = !seen in
+                    match Machine.run ~fuel:k m observe with
+                    | Machine.Running ->
+                      if !seen - before <> k then
+                        Alcotest.failf "%s: slice committed %d" id (!seen - before);
+                      slices ()
+                    | Machine.Halted | Machine.Faulted _ -> ()
+                  in
+                  slices ();
+                  check_int (id ^ ": events") n !seen;
+                  check_bool (id ^ ": final regs, status, instr_count") true
+                    (final_state m = ref_final)))
+            [ 1; 2; 3; 7; 64 ])
+        Strategy.all)
+    Sightglass.all
+
+(* [hfi trace] steps through [Machine.run ~fuel:1], so it shows the path
+   the engines run; its rendering must not depend on that path. *)
+let test_tracer_paths_agree () =
+  List.iter
+    (fun (name, w) ->
+      List.iter
+        (fun s ->
+          let lines () =
+            let inst = Instance.instantiate ~strategy:s w in
+            List.map
+              (Format.asprintf "%a" Tracer.pp_entry)
+              (Tracer.trace ~limit:200 (Instance.machine inst))
+          in
+          let reference = with_tier Ast lines in
+          check_int (name ^ ": traced 200 instructions") 200 (List.length reference);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s: trace lines" name (Strategy.to_string s))
+            reference (with_tier Uop_dispatch lines))
+        Strategy.all)
+    Sightglass.all
 
 let suite =
   [
@@ -261,4 +328,6 @@ let suite =
     Alcotest.test_case "cycle engine: all tiers identical" `Quick test_cycle_engine_equivalence;
     Alcotest.test_case "fig3 cycles: all tiers identical" `Slow test_fig3_equivalence;
     Alcotest.test_case "fuzz differential: all tiers" `Slow test_fuzz_differential;
+    Alcotest.test_case "fuel-sliced runs match one AST run" `Quick test_fuel_sliced_resume;
+    Alcotest.test_case "tracer: uop path traces like ast" `Quick test_tracer_paths_agree;
   ]
