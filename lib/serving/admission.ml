@@ -10,14 +10,49 @@ type decision =
 
 type entry = { decision : decision; fingerprint : string }
 
+(* A compiled module image: the workload value it was built from (by
+   identity), the lowering it was built under, and its fingerprint. *)
+type image = {
+  workload : Instance.workload;
+  strategy : Strategy.t;
+  optimized : bool;  (* [!Hfi_opt.Driver.enabled] at compile time *)
+  image_fingerprint : string;
+}
+
 type t = {
+  images : (string, image) Hashtbl.t;  (* workload name -> images compiled *)
   cache : (string, entry) Hashtbl.t;  (* fingerprint/strategy -> verdict *)
   mutable hits : int;
   mutable misses : int;
   mutable persisted : int;
 }
 
-let create () = { cache = Hashtbl.create 64; hits = 0; misses = 0; persisted = 0 }
+let create () =
+  {
+    images = Hashtbl.create 16;
+    cache = Hashtbl.create 64;
+    hits = 0;
+    misses = 0;
+    persisted = 0;
+  }
+
+(* The fingerprint of [w] compiled under [strategy], compiling only the
+   first time this gate sees that image. The name narrows the search;
+   physical equality decides it, so a different value reusing a name is
+   a different image. [program] is the compiled form, forced only when
+   the verdict is not cached. *)
+let image t ~strategy (w : Instance.workload) =
+  let optimized = !Hfi_opt.Driver.enabled in
+  let same i = i.workload == w && i.strategy = strategy && i.optimized = optimized in
+  let compile () = Instance.build_program ~strategy w in
+  match List.find_opt same (Hashtbl.find_all t.images w.Instance.name) with
+  | Some i -> (i.image_fingerprint, lazy (compile ()))
+  | None ->
+    let program = compile () in
+    let image_fingerprint = Program.fingerprint program in
+    Hashtbl.add t.images w.Instance.name
+      { workload = w; strategy; optimized; image_fingerprint };
+    (image_fingerprint, Lazy.from_val program)
 
 (* One counter per cache event kind, labeled so a metrics snapshot
    shows the in-memory hit / fresh-verify / persistent-load split at a
@@ -45,12 +80,14 @@ let decision_of_report (r : Vreport.t) =
     Rejected { verdict = "unknown"; detail }
 
 (* Verify the compiled form of [workload] under [strategy], memoized
+   twice. A workload value is an immutable module image, so the gate
+   compiles it once per (strategy, optimizer switch) and keeps only its
+   fingerprint ({!image}); a warm check never recompiles, which under
+   bounds checks was most of a warm check's cost. Verdicts are
    content-addressed: the key is the program fingerprint (a digest of
    the exact instruction sequence) plus the strategy, so two tenants
    sharing a module image share one verification, and any change to the
-   module or the compiler changes the key. Compilation itself is pure
-   and cheap relative to verification; the abstract-interpretation
-   fixpoint is what the cache elides.
+   module or the compiler changes the key.
 
    Behind the in-process table sits the opt-in persistent
    {!Hfi_verify.Verdict_cache} ([HFI_VERIFY_CACHE]): a first-seen
@@ -59,8 +96,7 @@ let decision_of_report (r : Vreport.t) =
    restarts — the report round-trips through JSON, and the decision is
    recomputed from the report, never stored. *)
 let check ?ctx ?(at = 0.0) t ~strategy (w : Instance.workload) =
-  let program = Instance.build_program ~strategy w in
-  let fingerprint = Program.fingerprint program in
+  let fingerprint, program = image t ~strategy w in
   let key = fingerprint ^ "/" ^ Strategy.to_string strategy in
   let code_base = Hfi_wasm.Layout.code_base in
   let decision, source =
@@ -81,7 +117,8 @@ let check ?ctx ?(at = 0.0) t ~strategy (w : Instance.workload) =
         t.misses <- t.misses + 1;
         cache_event `Miss;
         let report =
-          Checks.verify ~name:w.Instance.name { Checks.strategy; code_base } program
+          Checks.verify ~name:w.Instance.name { Checks.strategy; code_base }
+            (Lazy.force program)
         in
         Vcache.store ~fingerprint ~strategy ~code_base report;
         let decision = decision_of_report report in

@@ -6,9 +6,18 @@
     are rejected — an obligation the verifier could not discharge is
     not proof of safety, so the LFI-style gate refuses to run it.
 
+    Each gate compiles a module image once: it keeps a per-gate image
+    table from a [workload] {e value} (compared with [==]), the
+    strategy and the optimizer switch ([!Hfi_opt.Driver.enabled]) to
+    the compiled program's fingerprint, so a warm check never
+    recompiles. A [workload] value is therefore treated as an
+    immutable module image: to change a module, submit a new value.
+    A different value that reuses a name is a different image and is
+    compiled and verified on its own.
+
     Verdicts are cached content-addressed: keyed by the compiled
     program's {!Program.fingerprint} plus the strategy, so identical
-    module images verify once per process however many tenants share
+    module images verify once per gate however many tenants share
     them, and any compiler or module change invalidates by
     construction. With [HFI_VERIFY_CACHE] set, first-seen fingerprints
     also consult (and feed) the persistent
@@ -18,7 +27,9 @@
     [hfi_verify_cache_events_total{event=...}] observability counter. *)
 
 type t
-(** The verdict cache. *)
+(** The image table and the verdict cache. Both live as long as the
+    gate: nothing is shared between gates except through the opt-in
+    persistent cache. *)
 
 val create : unit -> t
 
@@ -35,9 +46,10 @@ val check :
   strategy:Hfi_sfi.Strategy.t ->
   Hfi_wasm.Instance.workload ->
   decision
-(** Compile, look up the fingerprint (in-memory first, then the
-    persistent cache if enabled), verify on a miss and store the fresh
-    verdict back. Never instantiates or executes the module. With
+(** Find the image's fingerprint (compiling only the first time this
+    gate sees the image), look up its verdict (in-memory first, then
+    the persistent cache if enabled), verify on a miss and store the
+    fresh verdict back. Never instantiates or executes the module. With
     [ctx], records the verdict and its source as an instant admission
     span at virtual time [at] (default 0): outcomes are
     [admitted]/[rejected-*] for a fresh verification, with a [-cached]

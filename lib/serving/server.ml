@@ -190,7 +190,12 @@ type report = {
    are measured by direct execution instead — degraded, never fatal. A
    kernel that faults (or whose instantiation raises) yields an [Error]
    entry: requests hitting it fail with that modeled fault and flow into
-   the retry/breaker machinery like any other failure. *)
+   the retry/breaker machinery like any other failure.
+
+   The table and the budget-fault count are a pure function of the
+   combo list: every kernel runs from a fresh instance on a fresh
+   scheduler, and within one campaign a combo key names one workload.
+   That is what lets {!simulate} measure each distinct list once. *)
 let measure_services combos =
   let budget_faults = ref 0 in
   let table : (string, (float, Fault.t) result) Hashtbl.t = Hashtbl.create 16 in
@@ -244,6 +249,22 @@ let measure_services combos =
     combos;
   (table, !budget_faults)
 
+(* [measure_services] memoized for one campaign: keyed by a shard's
+   sorted combo-key list and shared by its shards across domains.
+   Measuring under the lock makes each list measured exactly once for
+   any worker count. *)
+let campaign_measure () =
+  let lock = Mutex.create () and tables = Hashtbl.create 4 in
+  fun combos ->
+    let key = List.map (fun (k, _, _) -> k) combos in
+    Mutex.protect lock (fun () ->
+        match Hashtbl.find_opt tables key with
+        | Some r -> r
+        | None ->
+          let r = measure_services combos in
+          Hashtbl.replace tables key r;
+          r)
+
 (* ------------------------------------------------------------------ *)
 (* Per-shard simulation                                                *)
 
@@ -266,8 +287,8 @@ type shard_result = {
 
 let combo_key wkey strategy = wkey ^ "/" ^ Strategy.to_string strategy
 
-let run_shard (config : config) ~strategy ~shard_seed ~first_tenant ~count ~shard_requests
-    =
+let run_shard (config : config) ~measure ~strategy ~shard_seed ~first_tenant ~count
+    ~shard_requests =
   let rng = Prng.create ~seed:shard_seed in
   (* Observability state is shard-local and write-only with respect to
      the simulation: spans/SLO observations never influence a draw or a
@@ -312,7 +333,7 @@ let run_shard (config : config) ~strategy ~shard_seed ~first_tenant ~count ~shar
              if t.poisoned then []
              else List.map (fun s -> (combo_key t.wkey s, t.workload, s)) strategies))
   in
-  let services, sched_budget_faults = measure_services combos in
+  let services, sched_budget_faults = measure combos in
   let service_of t (s : Strategy.t) =
     match Hashtbl.find_opt services (combo_key t.wkey s) with
     | Some (Ok cycles) -> Ok (Units.cycles_to_seconds cycles *. config.service_scale)
@@ -631,10 +652,11 @@ let simulate ?jobs (config : config) ~strategy =
   if config.requests < 1 then invalid_arg "Server.simulate: requests < 1";
   if config.max_attempts < 1 then invalid_arg "Server.simulate: max_attempts < 1";
   let shards = plan_shards config in
+  let measure = campaign_measure () in
   let results =
     Pool.map ?jobs
       (fun { seed; first_tenant; count; requests } ->
-        run_shard config ~strategy ~shard_seed:seed ~first_tenant ~count
+        run_shard config ~measure ~strategy ~shard_seed:seed ~first_tenant ~count
           ~shard_requests:requests)
       shards
   in

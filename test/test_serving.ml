@@ -176,7 +176,48 @@ let test_admission_gate_admits_and_caches () =
   check_int "no second verification" 1 (Admission.misses gate);
   (* same module under a different strategy is a distinct cache key *)
   ignore (Admission.check gate ~strategy:Strategy.Bounds_checks w);
-  check_int "strategy is part of the key" 2 (Admission.misses gate)
+  check_int "strategy is part of the key" 2 (Admission.misses gate);
+  (* A gate compiles each image once: warm checks find the fingerprint
+     in its image table instead of rebuilding the module. *)
+  let builds = ref 0 in
+  let counted =
+    {
+      w with
+      Hfi_wasm.Instance.build =
+        (fun cg ->
+          incr builds;
+          w.Hfi_wasm.Instance.build cg);
+    }
+  in
+  let gate = Admission.create () in
+  for _ = 1 to 50 do
+    check_bool "counted kernel admitted" true
+      (Admission.check gate ~strategy:Strategy.Bounds_checks counted = Admission.Admitted)
+  done;
+  check_int "compiled once for 50 checks" 1 !builds;
+  check_int "one verification" 1 (Admission.misses gate);
+  check_int "49 cached verdicts" 49 (Admission.hits gate);
+  (* A different value reusing the admitted kernel's name is its own
+     image: compiled and verified, never served the kernel's verdict. *)
+  let impostor =
+    { Admission.poison_workload with Hfi_wasm.Instance.name = counted.Hfi_wasm.Instance.name }
+  in
+  (match Admission.check gate ~strategy:Strategy.Bounds_checks impostor with
+  | Admission.Admitted -> Alcotest.fail "name collision leaked the kernel's verdict"
+  | Admission.Rejected { verdict; _ } ->
+    check_bool "impostor refused as unsafe" true (verdict = "unsafe"));
+  check_int "impostor verified on its own" 2 (Admission.misses gate);
+  check_int "kernel not recompiled" 1 !builds;
+  (* The optimizer switch is part of the image key: the unoptimized
+     lowering has another fingerprint, so it compiles and verifies. *)
+  Hfi_opt.Driver.with_enabled false (fun () ->
+      check_bool "unoptimized kernel admitted" true
+        (Admission.check gate ~strategy:Strategy.Bounds_checks counted = Admission.Admitted));
+  check_int "unoptimized lowering compiled" 2 !builds;
+  check_int "unoptimized lowering is a miss" 3 (Admission.misses gate);
+  ignore (Admission.check gate ~strategy:Strategy.Bounds_checks counted);
+  check_int "optimized image still remembered" 2 !builds;
+  check_int "and its verdict" 50 (Admission.hits gate)
 
 let test_admission_gate_rejects_poison_before_execution () =
   (* The acceptance property: a region-escape module is refused under
@@ -281,15 +322,75 @@ let test_serve_chaos_classifies_every_request () =
 let test_serve_jobs_determinism () =
   (* The sharded campaign is byte-identical for any worker count: same
      counters, same percentiles, same everything. *)
-  let r1 = Server.simulate ~jobs:1 small_chaos ~strategy:Strategy.Hfi in
-  let r4 = Server.simulate ~jobs:4 small_chaos ~strategy:Strategy.Hfi in
-  check_bool "jobs=1 equals jobs=4" true (r1 = r4);
-  let r1' = Server.simulate ~jobs:1 small_chaos ~strategy:Strategy.Hfi in
-  check_bool "replayable from the seed" true (r1 = r1');
-  let other =
-    Server.simulate ~jobs:1 { small_chaos with Server.seed = 13 } ~strategy:Strategy.Hfi
+  List.iter
+    (fun strategy ->
+      let r1 = Server.simulate ~jobs:1 small_chaos ~strategy in
+      let r4 = Server.simulate ~jobs:4 small_chaos ~strategy in
+      check_bool "jobs=1 equals jobs=4" true (r1 = r4);
+      let r1' = Server.simulate ~jobs:1 small_chaos ~strategy in
+      check_bool "replayable from the seed" true (r1 = r1');
+      let other = Server.simulate ~jobs:1 { small_chaos with Server.seed = 13 } ~strategy in
+      check_bool "seed actually steers the campaign" true (r1 <> other))
+    [ Strategy.Hfi; Strategy.Bounds_checks ]
+
+(* Golden pin of [small_chaos]: every counter, and the exact bits of
+   goodput and the latency percentiles. Shards share measured service
+   tables and gates remember compiled images; neither may move a
+   modeled value. *)
+let test_serve_small_chaos_pinned () =
+  let pin strategy counters floats =
+    let r = Server.simulate ~jobs:1 small_chaos ~strategy in
+    let c = r.Server.counters in
+    let actual =
+      Server.
+        [
+          ("requests", c.requests); ("ok", c.ok); ("retried_ok", c.retried_ok);
+          ("shed", c.shed); ("breaker_open", c.breaker_open);
+          ("rejected_unverified", c.rejected_unverified); ("failed", c.failed);
+          ("retries", c.retries); ("timed_out", c.timed_out);
+          ("cold_starts", c.cold_starts); ("warm_hits", c.warm_hits);
+          ("degraded", c.degraded); ("evictions", c.evictions);
+          ("breaker_trips", c.breaker_trips); ("breaker_rejections", c.breaker_rejections);
+          ("injected_faults", c.injected_faults); ("injected_stalls", c.injected_stalls);
+          ("spurious_rejects", c.spurious_rejects); ("poisoned_tenants", c.poisoned_tenants);
+          ("verify_hits", c.verify_hits); ("verify_misses", c.verify_misses);
+          ("verify_persisted", c.verify_persisted);
+          ("sched_budget_faults", c.sched_budget_faults);
+        ]
+    in
+    let s = Strategy.to_string strategy in
+    List.iter2
+      (fun (name, want) (name', got) ->
+        assert (name = name');
+        check_int (s ^ " " ^ name) want got)
+      counters actual;
+    List.iter2
+      (fun (name, want) got ->
+        Alcotest.(check string) (s ^ " " ^ name) want (Printf.sprintf "%h" got))
+      floats
+      [ r.Server.goodput_rps; r.Server.p50_ms; r.Server.p99_ms; r.Server.p999_ms ]
   in
-  check_bool "seed actually steers the campaign" true (r1 <> other)
+  let shared =
+    [
+      ("requests", 318); ("ok", 251); ("retried_ok", 14); ("shed", 0);
+      ("breaker_open", 38); ("rejected_unverified", 15); ("failed", 0);
+      ("retries", 14); ("timed_out", 0); ("cold_starts", 17); ("warm_hits", 262);
+      ("degraded", 0); ("evictions", 4); ("breaker_trips", 3);
+      ("breaker_rejections", 38); ("injected_faults", 14); ("injected_stalls", 2);
+      ("spurious_rejects", 0); ("poisoned_tenants", 3); ("verify_hits", 270);
+      ("verify_misses", 10); ("verify_persisted", 0); ("sched_budget_faults", 0);
+    ]
+  in
+  pin Strategy.Hfi shared
+    [
+      ("goodput_rps", "0x1.d6de25562f013p+8"); ("p50_ms", "0x1.632bd236e6885p+3");
+      ("p99_ms", "0x1.f792bd7910873p+5"); ("p999_ms", "0x1.e6f35807abc08p+7");
+    ];
+  pin Strategy.Bounds_checks shared
+    [
+      ("goodput_rps", "0x1.905b074d0cf7dp+8"); ("p50_ms", "0x1.8c3553af80df2p+3");
+      ("p99_ms", "0x1.06b4d73ad5cc1p+6"); ("p999_ms", "0x1.e14b8a0aea3dbp+7");
+    ]
 
 let test_serve_degradation_under_budget_pressure () =
   (* One shard, HFI budget below the tenant count, long keep-alive:
@@ -354,6 +455,8 @@ let suite =
     Alcotest.test_case "serve_chaos classifies every request" `Quick
       test_serve_chaos_classifies_every_request;
     Alcotest.test_case "serving jobs=1 equals jobs=4" `Quick test_serve_jobs_determinism;
+    Alcotest.test_case "small_chaos pinned under HFI and bounds checks" `Quick
+      test_serve_small_chaos_pinned;
     Alcotest.test_case "HFI budget pressure degrades gracefully" `Quick
       test_serve_degradation_under_budget_pressure;
     Alcotest.test_case "failed outcome reachable and classified" `Quick
