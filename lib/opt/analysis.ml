@@ -1,6 +1,9 @@
 (* Forward interval analysis over the µop CFG — the optimizer's copy of
    the static verifier's register-state fixpoint (lib/verify/checks.ml),
-   restricted to registers and the pending-compare snapshot. Transfer
+   restricted to registers and the pending-compare snapshot. Both copies
+   share the worklist shape: per-target edge lists folded in source
+   order, and the sink rule ([Cfg.is_sink] blocks are solved once after
+   the narrowing drain, never re-joined on the worklist). Transfer
    functions deliberately mirror the verifier instruction for
    instruction: every bound this analysis proves, the verifier re-proves
    on the optimized output, which is what makes check elision
@@ -148,7 +151,17 @@ let compute ?bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
   if nb > 0 then begin
     let init = initial_state () in
     let visits = Array.make nb 0 in
-    let edge_st : (int * int, state) Hashtbl.t = Hashtbl.create 64 in
+    (* per target block: the latest contribution of each incoming edge,
+       as a list sorted by source block *)
+    let in_edges : (int * state) list array = Array.make nb [] in
+    let rec set_edge s st = function
+      | ((s', _) as e) :: rest when s' < s -> e :: set_edge s st rest
+      | (s', _) :: rest when s' = s -> (s, st) :: rest
+      | edges -> (s, st) :: edges
+    in
+    (* sinks stay off the worklist and are solved once after narrowing,
+       by the verifier's rule and exactness argument (lib/verify/checks.ml) *)
+    let sink = Array.map (Cfg.is_sink cfg) cfg.Cfg.blocks in
     let queue = Queue.create () in
     let on_queue = Array.make nb false in
     let enqueue b =
@@ -159,11 +172,10 @@ let compute ?bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
     in
     let narrowing = ref false in
     let joined_in b =
-      let acc = ref (if b = 0 then Some init else None) in
-      Hashtbl.iter
-        (fun (_, t) s -> if t = b then acc := Some (match !acc with None -> s | Some a -> join_st a s))
-        edge_st;
-      !acc
+      let acc = if b = 0 then Some init else None in
+      List.fold_left
+        (fun acc (_, s) -> Some (match acc with None -> s | Some a -> join_st a s))
+        acc in_edges.(b)
     in
     let recompute b =
       match joined_in b with
@@ -196,11 +208,11 @@ let compute ?bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
       | Some s ->
         List.iter
           (fun (t, contrib) ->
-            match Hashtbl.find_opt edge_st (b, t) with
+            match List.assoc_opt b in_edges.(t) with
             | Some old when old = contrib -> ()
             | _ ->
-              Hashtbl.replace edge_st (b, t) contrib;
-              recompute t)
+              in_edges.(t) <- set_edge b contrib in_edges.(t);
+              if not sink.(t) then recompute t)
           (simulate ~bound_cell ~heap_limit uops cfg s cfg.Cfg.blocks.(b))
     in
     let drain budget =
@@ -231,7 +243,8 @@ let compute ?bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
       for b = 0 to nb - 1 do
         if in_states.(b) <> None then enqueue b
       done;
-      ignore (drain (8 * nb))
+      ignore (drain (8 * nb));
+      Array.iteri (fun b is_sink -> if is_sink then in_states.(b) <- joined_in b) sink
     end
   end;
   { uops; cfg; in_states; converged = !converged }

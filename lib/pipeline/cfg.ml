@@ -74,6 +74,14 @@ let build (uops : Uop.t array) =
     { blocks; block_of_instr; ret_points }
   end
 
+let is_sink cfg b =
+  b.id <> 0
+  &&
+  match b.term with
+  | Thalt | Tfall None | Tout _ -> true
+  | Tret -> cfg.ret_points = []
+  | Tfall (Some _) | Tjump _ | Tcond _ | Tjump_ind | Tcall _ | Tcall_ind _ -> false
+
 let dfs cfg ~edges =
   let nb = Array.length cfg.blocks in
   let seen = Array.make nb false in

@@ -43,6 +43,15 @@ type t = {
 
 val build : Uop.t array -> t
 
+val is_sink : t -> block -> bool
+(** A block other than the entry whose terminator can yield no
+    out-edge: [Thalt], [Tfall None], [Tout _], or [Tret] when the
+    program has no return points. No other block's state is derived
+    from a sink's, so a fixpoint may solve it once, after the rest has
+    converged (the shared Wasm trap block is one, with an in-edge from
+    every bounds check). Indirect jumps and calls are never sinks:
+    the verifier resolves their edges during the fixpoint. *)
+
 val reachable : t -> bool array
 (** Blocks reachable from the entry along all recorded edges. *)
 

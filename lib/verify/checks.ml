@@ -65,6 +65,18 @@ let verify_internal ?(name = "program") spec prog =
       | (s', _) :: rest when s' = s -> (s, st) :: rest
       | edges -> (s, st) :: edges
     in
+    (* Sinks (see [Cfg.is_sink]) — chiefly the shared Wasm trap block,
+       which every bounds check branches to — stay off the worklist.
+       Their edge contributions are recorded as usual, but nothing
+       reads a sink's in-state during the fixpoint, so re-folding its
+       hundreds of in-edges on every change would be pure waste. Each
+       sink is solved once, after the narrowing drain, as the sorted
+       join of its final contributions. That is exactly where the
+       worklist would have left it: narrowing first installs the pure
+       join over every block, and each later narrowing recompute
+       installs the join directly, so verdicts and proof invariants are
+       unchanged; only [iterations] drops by the sink pops it skips. *)
+    let sink = Array.map (Cfg.is_sink cfg) cfg.Cfg.blocks in
     let queue = Queue.create () in
     let on_queue = Array.make nb false in
     let enqueue b =
@@ -123,7 +135,7 @@ let verify_internal ?(name = "program") spec prog =
             | Some old when old = contrib -> ()
             | _ ->
               in_edges.(t) <- set_edge b contrib in_edges.(t);
-              recompute t)
+              if not sink.(t) then recompute t)
           (Transfer.simulate ctx ~record:false s cfg.Cfg.blocks.(b))
     in
     let drain budget =
@@ -169,6 +181,7 @@ let verify_internal ?(name = "program") spec prog =
          proof-quality states. *)
       stable := drain (32 * nb);
       Queue.clear queue;
+      Array.iteri (fun b is_sink -> if is_sink then in_states.(b) <- joined_in b) sink;
       (* reporting pass over the stable states *)
       for b = 0 to nb - 1 do
         match in_states.(b) with

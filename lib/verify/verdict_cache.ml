@@ -16,7 +16,10 @@
 
 module J = Hfi_util.Json
 
-let entry_version = 1
+(* Bump whenever a stored report may differ for the same analysis:
+   reports carry [iterations], which moves with worklist scheduling
+   (v2: sinks are solved off the worklist). *)
+let entry_version = 2
 let default_dir = Filename.concat "_build" ".hfi-verify-cache"
 
 let dir_of_env () =

@@ -475,12 +475,13 @@ let test_proof_binding () =
 
 (* The worklist's visit count and the emitted invariants depend on the
    exact join and queue order, so pinning them catches any change to
-   how edge contributions are stored or folded. *)
+   how edge contributions are stored or folded. Sinks ([Cfg.is_sink])
+   never enter the worklist, so they count no visits here. *)
 let spec_program strategy name =
   Instance.build_program ~strategy ~optimize:true
     (Hfi_workloads.Spec.workload (Hfi_workloads.Spec.find name))
 
-let test_fixpoint_golden_pins () =
+let test_fixpoint_golden_iterations () =
   List.iter
     (fun (name, iterations) ->
       let prog = spec_program Strategy.Hfi name in
@@ -489,7 +490,11 @@ let test_fixpoint_golden_pins () =
       in
       check_str (name ^ " verdict") "safe" (Vreport.verdict_name r.Vreport.verdict);
       check_int (name ^ " iterations") iterations r.Vreport.iterations)
-    [ ("445.gobmk", 27685); ("403.gcc", 14483) ];
+    [ ("445.gobmk", 27683); ("403.gcc", 14481) ]
+
+let proof_md5 p = Digest.to_hex (Digest.string (Proof.to_json p))
+
+let test_fixpoint_golden_proofs () =
   List.iter
     (fun (name, strategy, prog, md5) ->
       let _, p =
@@ -497,7 +502,7 @@ let test_fixpoint_golden_pins () =
       in
       match p with
       | None -> Alcotest.failf "%s: no proof" name
-      | Some p -> check_str (name ^ " proof md5") md5 (Digest.to_hex (Digest.string (Proof.to_json p))))
+      | Some p -> check_str (name ^ " proof md5") md5 (proof_md5 p))
     [
       ( "sieve",
         Strategy.Guard_pages,
@@ -505,6 +510,172 @@ let test_fixpoint_golden_pins () =
         "a8c0015e6112b0835b513c7780d9ff3b" );
       ("403.gcc", Strategy.Hfi, spec_program Strategy.Hfi "403.gcc", "e60019d4b10a70bcd2e7fcdf8d740071");
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Bounds checks: the shared trap block                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Every bounds check branches to one shared trap block, so under
+   Bounds_checks both fixpoints (optimizer and verifier) meet a sink
+   with hundreds to thousands of in-edges. Per SPEC-like profile: the
+   optimized program's fingerprint, the per-pass change counts, its
+   verdict and the verdict on the unoptimized reference lowering. The
+   table runs in seconds only while sinks are solved once, off the
+   worklist; re-joining every in-edge on each change costs minutes. *)
+let bounds_pins =
+  [
+    ( "400.perlbench",
+      "3151d8d9e7f62e83707e0407a5f39cde",
+      "elide:939 reuse:0 hoist:0 rewrite:33 dce:450",
+      "safe",
+      "safe" );
+    ( "401.bzip2",
+      "8b454fafc8f46a9b37cfd9d84a6a42b3",
+      "elide:1123 reuse:0 hoist:0 rewrite:60 dce:534",
+      "safe",
+      "safe" );
+    ( "403.gcc",
+      "ddd9f1d643ad2ffc9675a18b1712c0b6",
+      "elide:1831 reuse:0 hoist:0 rewrite:79 dce:1044",
+      "safe",
+      "safe" );
+    ( "429.mcf",
+      "513c2916115c81d2ed99dca22d22630c",
+      "elide:0 reuse:0 hoist:0 rewrite:48 dce:99",
+      "safe",
+      "safe" );
+    ( "445.gobmk",
+      "0766ca3bcbab6e0e082450a90d3fef59",
+      "elide:3128 reuse:0 hoist:0 rewrite:131 dce:1967",
+      "safe",
+      "safe" );
+    ( "456.hmmer",
+      "2e64d0bed0e4bd56c6eafdb4ab129271",
+      "elide:876 reuse:0 hoist:0 rewrite:43 dce:453",
+      "safe",
+      "safe" );
+    ( "458.sjeng",
+      "9404426b82b78a9231108fd3085d2a21",
+      "elide:792 reuse:0 hoist:0 rewrite:56 dce:487",
+      "safe",
+      "safe" );
+    ( "462.libquantum",
+      "746001524545c52fecaeb72096d55544",
+      "elide:701 reuse:0 hoist:0 rewrite:49 dce:366",
+      "safe",
+      "safe" );
+    ( "464.h264ref",
+      "248445ef550fe0eaeeb707a6425612ac",
+      "elide:1038 reuse:0 hoist:0 rewrite:51 dce:485",
+      "safe",
+      "safe" );
+    ( "473.astar",
+      "4a981cbb29cbc549ac0758309a44a258",
+      "elide:0 reuse:0 hoist:0 rewrite:49 dce:121",
+      "safe",
+      "safe" );
+  ]
+
+let bounds_spec = { Checks.strategy = Strategy.Bounds_checks; code_base = Layout.code_base }
+
+let bounds_reference name =
+  Instance.build_program ~strategy:Strategy.Bounds_checks ~optimize:false
+    (Hfi_workloads.Spec.workload (Hfi_workloads.Spec.find name))
+
+let bounds_conv name =
+  let w = Hfi_workloads.Spec.workload (Hfi_workloads.Spec.find name) in
+  Instance.opt_conv ~strategy:Strategy.Bounds_checks
+    ~heap_size:(Instance.round_to_wasm_page w.Instance.heap_bytes)
+
+let test_bounds_checks_golden () =
+  List.iter
+    (fun (name, fingerprint, changed, verdict, ref_verdict) ->
+      let prog = bounds_reference name in
+      let results = Hfi_opt.Driver.passes (bounds_conv name) prog in
+      let final = match List.rev results with [] -> prog | last :: _ -> last.Hfi_opt.Driver.prog in
+      check_str (name ^ " fingerprint") fingerprint (Program.fingerprint final);
+      check_str (name ^ " changed per pass") changed
+        (String.concat " "
+           (List.map
+              (fun (r : Hfi_opt.Driver.pass_result) ->
+                Printf.sprintf "%s:%d" r.Hfi_opt.Driver.pass r.Hfi_opt.Driver.changed)
+              results));
+      let verdict_of p = Vreport.verdict_name (Checks.verify ~name bounds_spec p).Vreport.verdict in
+      check_str (name ^ " verdict") verdict (verdict_of final);
+      check_str (name ^ " reference verdict") ref_verdict (verdict_of prog))
+    bounds_pins;
+  let name = "462.libquantum" in
+  match Checks.verify_with_proof ~name bounds_spec (bounds_reference name) with
+  | _, None -> Alcotest.failf "%s reference: no proof" name
+  | _, Some p ->
+    check_str (name ^ " reference proof md5") "031d7488cd0b93f03f686d43e73cd9ba" (proof_md5 p)
+
+(* Fold what each predecessor's in-state transfers into [target], in
+   ascending predecessor order — the value a sink gets when it is solved
+   once after the fixpoint. *)
+let join_into ~target ~join ~state_of ~simulate preds =
+  List.fold_left
+    (fun acc pred ->
+      match state_of pred with
+      | None -> acc
+      | Some st ->
+        List.fold_left
+          (fun acc (t, c) ->
+            if t <> target then acc else Some (match acc with None -> c | Some a -> join a c))
+          acc (simulate st pred))
+    None
+    (List.sort_uniq compare preds)
+
+(* The trap block's state, in the verifier's proof and in the
+   optimizer's analysis alike, is exactly that join. *)
+let test_trap_sink_invariant () =
+  let name = "462.libquantum" in
+  let prog = bounds_reference name in
+  match Checks.verify_with_proof ~name bounds_spec prog with
+  | _, None -> Alcotest.failf "%s reference: no proof" name
+  | _, Some p ->
+    (match
+       Proofcheck.check ~strategy:Strategy.Bounds_checks ~code_base:Layout.code_base prog p
+     with
+    | Proofcheck.Accepted -> ()
+    | Proofcheck.Rejected es -> Alcotest.failf "proof rejected: %s" (String.concat "; " es));
+    let ctx = Hfi_verify.Transfer.make_ctx bounds_spec prog in
+    let cfg = ctx.Hfi_verify.Transfer.cfg in
+    let preds = Hfi_opt.Dom.preds_of cfg in
+    (* the trap: the sink with the most in-edges *)
+    let trap =
+      Array.fold_left
+        (fun best (blk : Cfg.block) ->
+          if Cfg.is_sink cfg blk && List.length preds.(blk.Cfg.id) > List.length preds.(best) then
+            blk.Cfg.id
+          else best)
+        0 cfg.Cfg.blocks
+    in
+    check_bool "trap has hundreds of in-edges" true (List.length preds.(trap) > 100);
+    let recorded = List.assoc_opt trap p.Proof.invariants in
+    check_bool "trap invariant is the sorted join of its contributions" true
+      (recorded <> None
+      && recorded
+         = join_into ~target:trap ~join:Vstate.join
+             ~state_of:(fun b -> List.assoc_opt b p.Proof.invariants)
+             ~simulate:(fun st b ->
+               Hfi_verify.Transfer.simulate ctx ~record:false st cfg.Cfg.blocks.(b))
+             preds.(trap));
+    let conv = bounds_conv name in
+    let bound_cell = conv.Hfi_opt.Sfi_opt.bound_cell in
+    let heap_limit = conv.Hfi_opt.Sfi_opt.heap_limit in
+    let uops = ctx.Hfi_verify.Transfer.uops in
+    let a = Hfi_opt.Analysis.compute ~bound_cell ~heap_limit uops cfg in
+    let solved = a.Hfi_opt.Analysis.in_states.(trap) in
+    check_bool "analysis solves the trap as the same join" true
+      (solved <> None
+      && solved
+         = join_into ~target:trap ~join:Hfi_opt.Analysis.join_st
+             ~state_of:(fun b -> a.Hfi_opt.Analysis.in_states.(b))
+             ~simulate:(fun st b ->
+               Hfi_opt.Analysis.simulate ~bound_cell:(Some bound_cell) ~heap_limit uops cfg st
+                 cfg.Cfg.blocks.(b))
+             preds.(trap))
 
 (* ------------------------------------------------------------------ *)
 (* Persistent verdict cache: round-trip under an explicit directory     *)
@@ -553,6 +724,48 @@ let test_verdict_cache_roundtrip () =
       close_out oc;
       check_bool "corrupt entry is a miss" true
         (Vcache.find_in ~dir ~fingerprint ~strategy ~code_base = None))
+
+(* Reports carry [iterations], which can change without the analysis
+   changing meaning, so such changes bump the entry format instead of
+   the verifier version. An entry of the previous format is a miss,
+   whether it sits at its own address or at the current one. *)
+let test_verdict_cache_old_format_miss () =
+  with_temp_dir (fun dir ->
+      let strategy = Strategy.Guard_pages in
+      let code_base = Layout.code_base in
+      let prog = Instance.build_program ~strategy (Sightglass.find "sieve") in
+      let fingerprint = Program.fingerprint prog in
+      let r = Checks.verify ~name:"sieve" { Checks.strategy; code_base } prog in
+      let key = Vcache.key ~fingerprint ~strategy ~code_base in
+      let old_key =
+        Digest.to_hex
+          (Digest.string
+             (String.concat "\x00"
+                [
+                  "hfi-verify-v1";
+                  Printf.sprintf "verifier-%d" Checks.verifier_version;
+                  fingerprint;
+                  Strategy.to_string strategy;
+                  string_of_int code_base;
+                ]))
+      in
+      check_bool "the format version is part of the address" true (old_key <> key);
+      Sys.mkdir dir 0o755;
+      let write_v1 k =
+        let oc = open_out_bin (Filename.concat dir (k ^ ".json")) in
+        Printf.fprintf oc {|{"cache_version":1,"verifier_version":%d,"report":%s}|}
+          Checks.verifier_version (Vreport.to_json r);
+        close_out oc
+      in
+      write_v1 old_key;
+      check_bool "v1 entry at its own address is a miss" true
+        (Vcache.find_in ~dir ~fingerprint ~strategy ~code_base = None);
+      write_v1 key;
+      check_bool "v1 entry at the current address is a miss" true
+        (Vcache.find_in ~dir ~fingerprint ~strategy ~code_base = None);
+      Vcache.store_in ~dir ~fingerprint ~strategy ~code_base r;
+      check_bool "a current entry is a hit" true
+        (Vcache.find_in ~dir ~fingerprint ~strategy ~code_base <> None))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep determinism: jobs=1 and jobs=4 produce identical artifacts     *)
@@ -631,10 +844,16 @@ let suite =
     Alcotest.test_case "proof: emit, round-trip, revalidate" `Quick test_proof_roundtrip;
     Alcotest.test_case "proof: bound to strategy and verifier version" `Quick
       test_proof_binding;
-    Alcotest.test_case "fixpoint: golden iterations and proof digests" `Quick
-      test_fixpoint_golden_pins;
+    Alcotest.test_case "fixpoint: golden iteration counts" `Quick test_fixpoint_golden_iterations;
+    Alcotest.test_case "fixpoint: golden proof digests" `Quick test_fixpoint_golden_proofs;
+    Alcotest.test_case "bounds-checks: golden optimizer and verifier outputs" `Quick
+      test_bounds_checks_golden;
+    Alcotest.test_case "bounds-checks: trap invariant is the join of its in-edges" `Quick
+      test_trap_sink_invariant;
     Alcotest.test_case "verdict cache: round-trip, separation, corruption" `Quick
       test_verdict_cache_roundtrip;
+    Alcotest.test_case "verdict cache: older-format entries are misses" `Quick
+      test_verdict_cache_old_format_miss;
     Alcotest.test_case "sweep: jobs=1 == jobs=4" `Quick test_sweep_jobs_deterministic;
     Alcotest.test_case "sfi: raw out-of-window store is unsafe" `Quick test_sfi_escape_unsafe;
     Alcotest.test_case "negative control: in-sandbox region write" `Quick test_negative_control;
