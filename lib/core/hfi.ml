@@ -336,6 +336,13 @@ let check_data_slow t ~addr ~bytes access =
   | Error v -> Error v
   | Ok () -> if bytes > 1 then data_byte_allowed t (addr + bytes - 1) access else Ok ()
 
+(* One endpoint against a two-region summary, first match wins: a
+   matching region with a denied permission stops the search (no
+   fall-through). Top-level, so the per-access check allocates no
+   closure. *)
+let pair_endpoint_ok ~nmask1 ~prefix1 ~ok1 ~nmask2 ~prefix2 ~ok2 e =
+  if e land nmask1 = prefix1 then ok1 else if e land nmask2 = prefix2 then ok2 else false
+
 let check_data_access t ~addr ~bytes access =
   if not t.enabled_ then Ok ()
   else begin
@@ -350,16 +357,16 @@ let check_data_access t ~addr ~bytes access =
            && (match access with `Read -> s.read | `Write -> s.write) ->
       Ok ()
     | D_pair s ->
-      (* First-match per endpoint, as in the walk: a matching region with
-         a denied permission stops the search (no fall-through). *)
-      let endpoint_ok e =
-        if e land s.nmask1 = s.prefix1 then
-          match access with `Read -> s.read1 | `Write -> s.write1
-        else if e land s.nmask2 = s.prefix2 then
-          match access with `Read -> s.read2 | `Write -> s.write2
-        else false
-      in
-      if endpoint_ok addr && (bytes = 1 || endpoint_ok (addr + bytes - 1)) then Ok ()
+      (* First-match per endpoint, as in the walk. *)
+      let ok1 = match access with `Read -> s.read1 | `Write -> s.write1 in
+      let ok2 = match access with `Read -> s.read2 | `Write -> s.write2 in
+      let nmask1 = s.nmask1 and prefix1 = s.prefix1 in
+      let nmask2 = s.nmask2 and prefix2 = s.prefix2 in
+      if
+        pair_endpoint_ok ~nmask1 ~prefix1 ~ok1 ~nmask2 ~prefix2 ~ok2 addr
+        && (bytes = 1
+           || pair_endpoint_ok ~nmask1 ~prefix1 ~ok1 ~nmask2 ~prefix2 ~ok2 (addr + bytes - 1))
+      then Ok ()
       else check_data_slow t ~addr ~bytes access
     | _ -> check_data_slow t ~addr ~bytes access
   end

@@ -284,7 +284,7 @@ let run_machine ?(injection = No_injection) ~strategy (m : Wasm_ir.module_) =
   let inject_heap_region region =
     Hfi.inject_region hfi ~slot:Layout.heap_region_slot (Some region)
   in
-  let observe (info : Machine.exec_info) =
+  let observe _ (ev : Machine.event) =
     incr count;
     if not !fired then
       match injection with
@@ -295,8 +295,7 @@ let run_machine ?(injection = No_injection) ~strategy (m : Wasm_ir.module_) =
           inject_heap_region (Layout.heap_region ~size:(heap_size_of m))
         end
       | Region_corrupt_shift delta ->
-        (match info.Machine.mem with
-        | Some a when a.Machine.write && a.Machine.via_hmov ->
+        if ev.Machine.has_mem && ev.Machine.mem_write && ev.Machine.mem_hmov then begin
           fired := true;
           inject_heap_region
             (Hfi_iface.Explicit_data
@@ -307,7 +306,7 @@ let run_machine ?(injection = No_injection) ~strategy (m : Wasm_ir.module_) =
                  permission_write = true;
                  is_large_region = true;
                })
-        | _ -> ())
+        end
       | Region_corrupt_canary ->
         if Hfi.enabled hfi then begin
           fired := true;
@@ -498,7 +497,7 @@ let static_plant_detected () =
   let mem = Machine.mem machine in
   Addr_space.mmap mem ~addr:canary_base ~len:canary_len Perm.rw;
   fill_canary mem;
-  let status = Machine.run ~fuel:machine_fuel machine (fun _ -> ()) in
+  let status = Machine.run ~fuel:machine_fuel machine (fun _ _ -> ()) in
   flagged && status = Machine.Halted && not (canary_intact mem)
 
 (* Run one planted-corruption experiment; true iff the checker caught

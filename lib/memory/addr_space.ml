@@ -7,23 +7,23 @@ module Imap = Map.Make (Int)
 type vma = { stop : int; perm : Perm.t }
 (* Keyed by start address in [t.vmas]; the interval is [start, stop). *)
 
+(* The page/permission table is direct-mapped on the page number: slot
+   [p land table_mask] describes page [p] iff [tbl_page.(slot) = p]. A
+   valid slot holds [Some] of the protection of the VMA containing the
+   page and the page's resident contents, or [Bytes.empty] when it is
+   not resident. Only mapped pages are entered. *)
+let table_size = 256
+let table_mask = table_size - 1
+
 type t = {
   mutable vmas : vma Imap.t;
   pages : (int, Bytes.t) Hashtbl.t;  (* page index -> contents *)
   mutable reserved : int;
   mutable cursor : int;  (* bump pointer for mmap_anywhere *)
   mutable minor_faults : int;
-  (* Hot-path memoization. [memo_lo, memo_hi) is the extent of the most
-     recently resolved VMA with protection [memo_perm]; [memo_hi = 0]
-     marks the memo invalid. [cached_idx]/[cached_page] hold the last
-     resident page touched ([cached_idx = -1] when invalid). Both caches
-     are invalidated by any mapping or residency mutation (mmap, munmap,
-     mprotect, madvise_dontneed). *)
-  mutable memo_lo : int;
-  mutable memo_hi : int;
-  mutable memo_perm : Perm.t;
-  mutable cached_idx : int;
-  mutable cached_page : Bytes.t;
+  tbl_page : int array;  (* -1 = empty slot *)
+  tbl_perm : Perm.t option array;
+  tbl_data : Bytes.t array;
 }
 
 exception
@@ -50,21 +50,20 @@ let create () =
     reserved = 0;
     cursor = 1 lsl 32;  (* leave low VA for code/stack conventions *)
     minor_faults = 0;
-    memo_lo = 0;
-    memo_hi = 0;
-    memo_perm = Perm.none;
-    cached_idx = -1;
-    cached_page = Bytes.empty;
+    tbl_page = Array.make table_size (-1);
+    tbl_perm = Array.make table_size None;
+    tbl_data = Array.make table_size Bytes.empty;
   }
 
 let page_down a = a land lnot (page_size - 1)
 let page_up a = (a + page_size - 1) land lnot (page_size - 1)
 
-let invalidate_vma_memo t =
-  t.memo_lo <- 0;
-  t.memo_hi <- 0
-
-let invalidate_page_cache t = t.cached_idx <- -1
+(* Every mapping or residency mutation empties the table, so no slot can
+   outlive the mapping or page it describes. Dropping the data pointers
+   too lets discarded pages be collected. *)
+let clear_table t =
+  Array.fill t.tbl_page 0 table_size (-1);
+  Array.fill t.tbl_data 0 table_size Bytes.empty
 
 let check_range addr len =
   if len <= 0 then invalid_arg "Addr_space: non-positive length";
@@ -77,7 +76,7 @@ let find_vma t addr =
   | _ -> None
 
 (* Split any VMA straddling [addr] so that [addr] becomes a boundary.
-   Coverage and protections are unchanged, so the memo stays valid. *)
+   Coverage and protections are unchanged, so the table stays valid. *)
 let split_at t addr =
   match find_vma t addr with
   | Some (start, v) when start < addr ->
@@ -97,7 +96,7 @@ let overlapping t lo hi =
     t.vmas []
 
 let drop_pages t lo hi =
-  invalidate_page_cache t;
+  clear_table t;
   let first = lo lsr page_shift and last = (hi - 1) lsr page_shift in
   (* Iterate the smaller side: range vs resident table. *)
   if last - first + 1 < Hashtbl.length t.pages then
@@ -111,8 +110,8 @@ let drop_pages t lo hi =
     List.iter (Hashtbl.remove t.pages) doomed
   end
 
+(* Callers follow with [drop_pages], which clears the table. *)
 let remove_range t lo hi =
-  invalidate_vma_memo t;
   split_at t lo;
   split_at t hi;
   List.iter
@@ -158,7 +157,7 @@ let munmap t ~addr ~len =
 
 let mprotect t ~addr ~len perm =
   check_range addr len;
-  invalidate_vma_memo t;
+  clear_table t;
   let lo = page_down addr and hi = page_up (addr + len) in
   split_at t lo;
   split_at t hi;
@@ -175,71 +174,65 @@ let madvise_dontneed t ~addr ~len =
   check_range addr len;
   drop_pages t (page_down addr) (page_up (addr + len))
 
+(* Slot describing page [p], filled from the VMA map and the page
+   hashtable on a miss; -1 if the page is unmapped. VMA bounds are page
+   aligned, so the VMA holding the page's first byte covers all of it. *)
+let fill_slot t p s =
+  match find_vma t (p lsl page_shift) with
+  | None -> -1
+  | Some (_, v) ->
+    Array.unsafe_set t.tbl_page s p;
+    Array.unsafe_set t.tbl_perm s (Some v.perm);
+    Array.unsafe_set t.tbl_data s
+      (match Hashtbl.find_opt t.pages p with Some b -> b | None -> Bytes.empty);
+    s
+
+let[@inline] slot_of t p =
+  let s = p land table_mask in
+  if Array.unsafe_get t.tbl_page s = p then s else fill_slot t p s
+
 let perm_at t addr =
-  if addr >= t.memo_lo && addr < t.memo_hi then Some t.memo_perm
+  let s = slot_of t (addr lsr page_shift) in
+  if s < 0 then None else Array.unsafe_get t.tbl_perm s
+
+let is_mapped t addr = match perm_at t addr with Some _ -> true | None -> false
+
+let[@inline] allows (p : Perm.t) = function `Read -> p.r | `Write -> p.w | `Exec -> p.x
+
+(* Slot of the page holding [addr], after checking [access] on it. *)
+let[@inline] checked_slot t addr access =
+  let s = slot_of t (addr lsr page_shift) in
+  if s < 0 then raise (Fault { addr; access; reason = `Unmapped });
+  (match Array.unsafe_get t.tbl_perm s with
+  | Some p when allows p access -> ()
+  | _ -> raise (Fault { addr; access; reason = `Protection }));
+  s
+
+(* Resident page [p], or [Bytes.empty] (length 0, never a real page) when
+   it is not resident, so the hot path allocates nothing — not even an
+   option. Unmapped pages can still hold data written by [poke] or
+   [blit_in]; they are looked up in the hashtable. *)
+let page_or_empty t p =
+  let s = slot_of t p in
+  if s >= 0 then Array.unsafe_get t.tbl_data s
+  else match Hashtbl.find_opt t.pages p with Some b -> b | None -> Bytes.empty
+
+let ensure_page t p =
+  let s = p land table_mask in
+  let cached = Array.unsafe_get t.tbl_data s in
+  if Array.unsafe_get t.tbl_page s = p && Bytes.length cached > 0 then cached
   else begin
-    match find_vma t addr with
-    | Some (start, v) ->
-      t.memo_lo <- start;
-      t.memo_hi <- v.stop;
-      t.memo_perm <- v.perm;
-      Some v.perm
-    | None -> None
-  end
-
-let is_mapped t addr = perm_at t addr <> None
-
-let check_access t addr access =
-  match find_vma t addr with
-  | None -> raise (Fault { addr; access; reason = `Unmapped })
-  | Some (start, v) ->
-    t.memo_lo <- start;
-    t.memo_hi <- v.stop;
-    t.memo_perm <- v.perm;
-    if not (Perm.allows v.perm access) then raise (Fault { addr; access; reason = `Protection })
-
-(* Permission-check [addr .. last] (both inside the same access, so at
-   most two pages apart). The common case — the whole range inside the
-   memoized VMA — is two compares and a permission-bit read. *)
-let check_access_range t addr last access =
-  if addr >= t.memo_lo && last < t.memo_hi then begin
-    if not (Perm.allows t.memo_perm access) then
-      raise (Fault { addr; access; reason = `Protection })
-  end
-  else begin
-    check_access t addr access;
-    if last > addr then check_access t last access
-  end
-
-(* Resident-page lookup through the one-entry page cache. [Bytes.empty]
-   (length 0, never a real page) stands for "not resident" so the hot
-   path allocates nothing — not even an option. *)
-let page_or_empty t idx =
-  if idx = t.cached_idx then t.cached_page
-  else begin
-    match Hashtbl.find_opt t.pages idx with
-    | Some b ->
-      t.cached_idx <- idx;
-      t.cached_page <- b;
-      b
-    | None -> Bytes.empty
-  end
-
-let ensure_page t idx =
-  if idx = t.cached_idx then t.cached_page
-  else begin
-    match Hashtbl.find_opt t.pages idx with
-    | Some b ->
-      t.cached_idx <- idx;
-      t.cached_page <- b;
-      b
-    | None ->
-      let b = Bytes.make page_size '\000' in
-      Hashtbl.replace t.pages idx b;
-      t.minor_faults <- t.minor_faults + 1;
-      t.cached_idx <- idx;
-      t.cached_page <- b;
-      b
+    let b =
+      match Hashtbl.find_opt t.pages p with
+      | Some b -> b
+      | None ->
+        let b = Bytes.make page_size '\000' in
+        Hashtbl.replace t.pages p b;
+        t.minor_faults <- t.minor_faults + 1;
+        b
+    in
+    if Array.unsafe_get t.tbl_page s = p then Array.unsafe_set t.tbl_data s b;
+    b
   end
 
 let read_byte t addr =
@@ -270,79 +263,104 @@ let raw_store_straddle t addr bytes v =
     write_byte t (addr + i) ((v lsr (8 * i)) land 0xff)
   done
 
-(* Unsafe accessors are justified by the guard: [off + bytes <=
-   page_size] and every resident page is exactly [page_size] long
-   (the [Bytes.empty] sentinel is length-checked first). Byte-at-a-time
-   composition rather than [Bytes.get_int64_le] keeps the path
-   allocation-free — boxed [Int64]s would dominate an 8-byte access.
-   The top byte's [lsl 56] drops bit 63 exactly as the per-byte slow
-   loop does, so values agree mod 2^63. *)
-let raw_load t addr bytes =
-  let off = addr land (page_size - 1) in
-  if off + bytes <= page_size then begin
-    let b = page_or_empty t (addr lsr page_shift) in
-    if Bytes.length b = 0 then 0
-    else begin
-      let c i = Char.code (Bytes.unsafe_get b (off + i)) in
-      match bytes with
-      | 1 -> c 0
-      | 2 -> c 0 lor (c 1 lsl 8)
-      | 4 -> c 0 lor (c 1 lsl 8) lor (c 2 lsl 16) lor (c 3 lsl 24)
-      | _ ->
-        c 0 lor (c 1 lsl 8) lor (c 2 lsl 16) lor (c 3 lsl 24) lor (c 4 lsl 32) lor (c 5 lsl 40)
-        lor (c 6 lsl 48) lor (c 7 lsl 56)
-    end
-  end
-  else raw_load_straddle t addr bytes
+(* Read or write [bytes] at offset [off] of page [b]. Unsafe accessors
+   are justified by the callers' guard: [off + bytes <= page_size] and
+   every resident page is exactly [page_size] long (the [Bytes.empty]
+   sentinel is length-checked first). Byte-at-a-time composition rather
+   than [Bytes.get_int64_le] keeps the path allocation-free — boxed
+   [Int64]s would dominate an 8-byte access. The top byte's [lsl 56]
+   drops bit 63 exactly as the per-byte slow loop does, so values agree
+   mod 2^63. *)
+(* Top-level (not closures over [b]/[off]), so they inline and the
+   access allocates nothing. *)
+let[@inline] byte_at b i = Char.code (Bytes.unsafe_get b i)
+let[@inline] set_byte_at b i x = Bytes.unsafe_set b i (Char.unsafe_chr (x land 0xff))
 
-let raw_store t addr bytes v =
-  let off = addr land (page_size - 1) in
-  if off + bytes <= page_size then begin
-    let b = ensure_page t (addr lsr page_shift) in
-    let s i x = Bytes.unsafe_set b (off + i) (Char.unsafe_chr (x land 0xff)) in
+let read_in b off bytes =
+  if Bytes.length b = 0 then 0
+  else begin
     match bytes with
-    | 1 -> s 0 v
-    | 2 ->
-      s 0 v;
-      s 1 (v lsr 8)
+    | 1 -> byte_at b off
+    | 2 -> byte_at b off lor (byte_at b (off + 1) lsl 8)
     | 4 ->
-      s 0 v;
-      s 1 (v lsr 8);
-      s 2 (v lsr 16);
-      s 3 (v lsr 24)
+      byte_at b off
+      lor (byte_at b (off + 1) lsl 8)
+      lor (byte_at b (off + 2) lsl 16)
+      lor (byte_at b (off + 3) lsl 24)
     | _ ->
-      s 0 v;
-      s 1 (v lsr 8);
-      s 2 (v lsr 16);
-      s 3 (v lsr 24);
-      s 4 (v lsr 32);
-      s 5 (v lsr 40);
-      s 6 (v lsr 48);
-      s 7 (v lsr 56)
+      byte_at b off
+      lor (byte_at b (off + 1) lsl 8)
+      lor (byte_at b (off + 2) lsl 16)
+      lor (byte_at b (off + 3) lsl 24)
+      lor (byte_at b (off + 4) lsl 32)
+      lor (byte_at b (off + 5) lsl 40)
+      lor (byte_at b (off + 6) lsl 48)
+      lor (byte_at b (off + 7) lsl 56)
   end
-  else raw_store_straddle t addr bytes v
 
+let write_in b off bytes v =
+  match bytes with
+  | 1 -> set_byte_at b off v
+  | 2 ->
+    set_byte_at b off v;
+    set_byte_at b (off + 1) (v lsr 8)
+  | 4 ->
+    set_byte_at b off v;
+    set_byte_at b (off + 1) (v lsr 8);
+    set_byte_at b (off + 2) (v lsr 16);
+    set_byte_at b (off + 3) (v lsr 24)
+  | _ ->
+    set_byte_at b off v;
+    set_byte_at b (off + 1) (v lsr 8);
+    set_byte_at b (off + 2) (v lsr 16);
+    set_byte_at b (off + 3) (v lsr 24);
+    set_byte_at b (off + 4) (v lsr 32);
+    set_byte_at b (off + 5) (v lsr 40);
+    set_byte_at b (off + 6) (v lsr 48);
+    set_byte_at b (off + 7) (v lsr 56)
+
+let[@inline] in_page addr bytes = addr land (page_size - 1) + bytes <= page_size
+
+(* Checked accesses: a table hit costs one compare. A page-straddling
+   access checks the second page too (faulting at its first byte) and
+   falls back to the per-byte path. *)
 let load t ~addr ~bytes =
   valid_width bytes;
-  check_access_range t addr (addr + bytes - 1) `Read;
-  raw_load t addr bytes
+  let s = checked_slot t addr `Read in
+  if in_page addr bytes then read_in (Array.unsafe_get t.tbl_data s) (addr land (page_size - 1)) bytes
+  else begin
+    ignore (checked_slot t (addr + bytes - 1) `Read);
+    raw_load_straddle t addr bytes
+  end
 
 let store t ~addr ~bytes v =
   valid_width bytes;
-  check_access_range t addr (addr + bytes - 1) `Write;
-  raw_store t addr bytes v
+  let s = checked_slot t addr `Write in
+  if in_page addr bytes then begin
+    let b = Array.unsafe_get t.tbl_data s in
+    let b = if Bytes.length b > 0 then b else ensure_page t (addr lsr page_shift) in
+    write_in b (addr land (page_size - 1)) bytes v
+  end
+  else begin
+    ignore (checked_slot t (addr + bytes - 1) `Write);
+    raw_store_straddle t addr bytes v
+  end
 
-let fetch_check t ~addr = check_access_range t addr addr `Exec
+let fetch_check t ~addr = ignore (checked_slot t addr `Exec)
 
 let peek t ~addr ~bytes =
   valid_width bytes;
-  if not (is_mapped t addr) then raise (Fault { addr; access = `Read; reason = `Unmapped });
-  raw_load t addr bytes
+  let s = slot_of t (addr lsr page_shift) in
+  if s < 0 then raise (Fault { addr; access = `Read; reason = `Unmapped });
+  if in_page addr bytes then read_in (Array.unsafe_get t.tbl_data s) (addr land (page_size - 1)) bytes
+  else raw_load_straddle t addr bytes
 
 let poke t ~addr ~bytes v =
   valid_width bytes;
   if not (is_mapped t addr) then raise (Fault { addr; access = `Write; reason = `Unmapped });
-  raw_store t addr bytes v
+  if in_page addr bytes then
+    write_in (ensure_page t (addr lsr page_shift)) (addr land (page_size - 1)) bytes v
+  else raw_store_straddle t addr bytes v
 
 (* Page-chunked copy-in: same semantics as a write_byte loop (no
    permission or mapping checks; first touch allocates the page and

@@ -9,15 +9,19 @@
     This module maintains state and byte-accurate contents; cycle costs of
     the syscalls that manipulate it are charged by {!Kernel}.
 
-    {b Hot-path caches.} Accessors are served by two internal one-entry
-    memos: the extent+protection of the most recently resolved VMA, and
-    the most recently touched resident page. Multi-byte accesses that
-    stay inside one page use single [Bytes] reads/writes; page-straddling
-    or unmapped accesses fall back to a per-byte path with identical
-    semantics. Both memos are invalidated by every mapping or residency
-    mutation ({!mmap}, {!munmap}, {!mprotect}, {!madvise_dontneed}), so
-    cached state can never outlive the mapping it describes. A [t] is not
-    thread-safe; confine each address space to one domain. *)
+    {b Page/permission table.} Accessors are served by a direct-mapped
+    table of 256 entries indexed by page number (page [n] lives in slot
+    [n mod 256], so pages [n] and [n + 256] evict each other). Each
+    entry holds a mapped page's protection and its resident [Bytes] (or
+    none). A hit in {!load}, {!store}, {!peek} or {!perm_at} costs one
+    compare and allocates nothing; a miss fills the entry from the VMA
+    map and the page hashtable. Multi-byte accesses that stay inside
+    one page use single [Bytes] reads/writes; page-straddling accesses
+    fall back to a per-byte path with identical semantics. Every
+    mapping or residency mutation ({!mmap}, {!munmap}, {!mprotect},
+    {!madvise_dontneed}) clears the table, so an entry can never
+    outlive the mapping it describes. A [t] is not thread-safe; confine
+    each address space to one domain. *)
 
 type t
 

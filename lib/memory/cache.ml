@@ -16,9 +16,8 @@ let skylake_l1i =
 
 type t = {
   cfg : config;
-  sets : int;
-  line_shift : int;  (* lsr replacement for [/ line_bytes]; -1 if not a power of two *)
-  set_mask : int;  (* land replacement for [mod sets]; -1 if not a power of two *)
+  line_shift : int;  (* log2 line_bytes *)
+  set_mask : int;  (* sets - 1 *)
   (* tags.(set).(way) = line tag, or -1 if invalid; lru.(set).(way) =
      recency stamp, larger = more recent. *)
   tags : int array array;
@@ -32,24 +31,24 @@ type t = {
   mutable misses : int;
 }
 
-let log2_exact n =
-  if n > 0 && n land (n - 1) = 0 then begin
-    let k = ref 0 in
-    while 1 lsl !k < n do
-      incr k
-    done;
-    !k
-  end
-  else -1
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let log2 n =
+  let k = ref 0 in
+  while 1 lsl !k < n do
+    incr k
+  done;
+  !k
 
 let create cfg =
   let sets = cfg.size_bytes / (cfg.ways * cfg.line_bytes) in
   if sets <= 0 then invalid_arg "Cache.create: bad geometry";
+  if not (is_pow2 sets && is_pow2 cfg.line_bytes) then
+    invalid_arg "Cache.create: set count and line size must be powers of two";
   {
     cfg;
-    sets;
-    line_shift = log2_exact cfg.line_bytes;
-    set_mask = (if log2_exact sets >= 0 then sets - 1 else -1);
+    line_shift = log2 cfg.line_bytes;
+    set_mask = sets - 1;
     tags = Array.init sets (fun _ -> Array.make cfg.ways (-1));
     lru = Array.init sets (fun _ -> Array.make cfg.ways 0);
     mru = Array.make sets 0;
@@ -58,20 +57,24 @@ let create cfg =
     misses = 0;
   }
 
-(* Hot path: both structure geometries are powers of two in practice, so
-   the per-access index math is a shift and a mask, not two divisions. *)
-let line_of t addr = if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.cfg.line_bytes
-let set_of t line = if t.set_mask >= 0 then line land t.set_mask else line mod t.sets
+(* Hot path: [create] admits only power-of-two geometry, so the
+   per-access index math is a shift and a mask, not two divisions. *)
+let line_of t addr = addr lsr t.line_shift
+let set_of t line = line land t.set_mask
 
 (* Way holding [tag] in [set], or -1. Unsafe indexing throughout this
    block: [set] comes from [set_of] (always < sets) and way indices
    stay < ways by construction, and these loops run three times per
-   simulated instruction. *)
+   simulated instruction. A loop, not a local recursive function: that
+   would allocate its closure on every call. *)
 let find_way t set tag =
   let ways = Array.unsafe_get t.tags set in
   let n = t.cfg.ways in
-  let rec go i = if i >= n then -1 else if Array.unsafe_get ways i = tag then i else go (i + 1) in
-  go 0
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get ways !i <> tag do
+    incr i
+  done;
+  if !i < n then !i else -1
 
 let touch t set way =
   t.stamp <- t.stamp + 1;

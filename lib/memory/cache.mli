@@ -22,6 +22,9 @@ val skylake_l1d : config
 val skylake_l1i : config
 
 val create : config -> t
+(** Raises [Invalid_argument] unless the set count
+    ([size_bytes / (ways * line_bytes)]) and [line_bytes] are powers of
+    two. *)
 
 val access : t -> int -> [ `Hit | `Miss ]
 (** Look up the line containing the address; on miss, fill it (evicting

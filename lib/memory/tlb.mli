@@ -16,6 +16,8 @@ val skylake_dtlb : config
 (** 64-entry, 4-way L1 dTLB with a ~26-cycle walk on miss. *)
 
 val create : config -> t
+(** Raises [Invalid_argument] unless [entries / ways] is a power of two
+    (the geometry {!Cache.create} admits). *)
 
 val access : t -> int -> [ `Hit | `Miss ]
 (** Translate the page containing the address, filling on miss. *)

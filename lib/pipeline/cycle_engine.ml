@@ -59,7 +59,10 @@ type t = {
      field rather than a local [ref] so the profiling-off hot path
      allocates nothing *)
   mutable mem_blame : int;
-  mutable clock : float;  (* issue front: time the next uop can issue *)
+  (* One-element float arrays, so the per-instruction updates store
+     unboxed floats instead of allocating a box each time. *)
+  clock : float array;  (* issue front: time the next uop can issue *)
+  done_at : float array;  (* completion time of the instruction being accounted *)
   mutable committed : int;
   mutable drains : int;
   mutable transient : int;
@@ -69,7 +72,7 @@ type t = {
 }
 
 let attach t m =
-  Machine.set_now m (fun () -> int_of_float t.clock);
+  Machine.set_now m (fun () -> int_of_float (Array.unsafe_get t.clock 0));
   Machine.set_on_flush m (fun addr -> Cache.flush_line t.dcache addr)
 
 let create ?(config = skylake) m =
@@ -98,7 +101,8 @@ let create ?(config = skylake) m =
       ready = Array.make Reg.count 0.0;
       blame = Array.make Reg.count 0;
       mem_blame = 0;
-      clock = 0.0;
+      clock = [| 0.0 |];
+      done_at = [| 0.0 |];
       committed = 0;
       drains = 0;
       transient = 0;
@@ -123,7 +127,8 @@ let reset t m =
   Array.fill t.ready 0 (Array.length t.ready) 0.0;
   Array.fill t.blame 0 (Array.length t.blame) 0;
   t.mem_blame <- 0;
-  t.clock <- 0.0;
+  t.clock.(0) <- 0.0;
+  t.done_at.(0) <- 0.0;
   t.committed <- 0;
   t.drains <- 0;
   t.transient <- 0;
@@ -133,25 +138,23 @@ let reset t m =
   attach t m;
   t
 
-let cycles t = t.clock
+let cycles t = t.clock.(0)
 let dcache t = t.dcache
 let dtlb t = t.dtlb
 let machine t = t.m
 
-(* Pre-resolved register indices from the µop; the fold is a recursion on
-   unboxed floats (a float ref would box per iteration). Order matches
-   the old List.fold_left over [Instr.reads], so totals are
-   bit-identical. *)
-let reg_ready t (srcs : int array) =
-  let ready = t.ready in
-  let n = Array.length srcs in
-  let rec go i acc =
-    if i >= n then acc
-    else go (i + 1) (Float.max acc (Array.unsafe_get ready (Array.unsafe_get srcs i)))
-  in
-  go 0 t.clock
+(* [Float.max] with its exact semantics (NaN-propagating, +0 above -0),
+   local so the compiler inlines it and keeps both operands unboxed. *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if x <> x then x else y
+  else if y <> y then y
+  else x
 
-let set_ready t (dsts : int array) at =
+(* Every destination register of the accounted instruction is ready at
+   its completion time [t.done_at] (read from the slot, so no float is
+   boxed to pass it). *)
+let set_ready t (dsts : int array) =
+  let at = Array.unsafe_get t.done_at 0 in
   for i = 0 to Array.length dsts - 1 do
     Array.unsafe_set t.ready (Array.unsafe_get dsts i) at
   done
@@ -182,22 +185,24 @@ let set_blame t (dsts : int array) code =
 
 (* ------------------------------------------------------------------- *)
 
-(* Squash and wrong-path execution after a mispredicted transfer. A
-   top-level function (not a closure in [account]) so branch-heavy
-   workloads do not allocate per committed branch. *)
-let wrong_path_from t ~done_at ~actual predicted =
+(* Squash and wrong-path execution after a mispredicted transfer, from
+   the accounted instruction's completion time [t.done_at]. A top-level
+   function (not a closure in [account]) so branch-heavy workloads do
+   not allocate per committed branch. *)
+let wrong_path_from t ~actual predicted =
   if predicted <> actual then begin
-    let clock0 = t.clock in
+    let clock0 = Array.unsafe_get t.clock 0 in
     let transient = Machine.speculate t.m ~start:predicted ~fuel:t.cfg.spec_window t.spec_fx in
     t.transient <- t.transient + transient;
-    t.clock <- done_at +. float_of_int t.cfg.mispredict_penalty;
+    Array.unsafe_set t.clock 0
+      (Array.unsafe_get t.done_at 0 +. float_of_int t.cfg.mispredict_penalty);
     if !Obs.profile_enabled then begin
       let pen = float_of_int t.cfg.mispredict_penalty in
       Profile.note Profile.global Profile.Mispredict_refill pen;
-      Profile.note Profile.global Profile.Wrong_path (t.clock -. clock0 -. pen)
+      Profile.note Profile.global Profile.Wrong_path (t.clock.(0) -. clock0 -. pen)
     end;
     if !Obs.trace_enabled then
-      Trace.emit Trace.Squash ~ts:done_at
+      Trace.emit Trace.Squash ~ts:t.done_at.(0)
         ~dur:(float_of_int t.cfg.mispredict_penalty)
         ~a:transient
   end
@@ -205,28 +210,30 @@ let wrong_path_from t ~done_at ~actual predicted =
 (* Front-end stall on a BTB/RAS miss: the pipeline waits for the branch
    to resolve (no wrong path), then pays half a refill. The [Wrong_path]
    bucket also carries this resolution wait. *)
-let btb_stall t ~done_at =
-  let clock0 = t.clock in
-  t.clock <- done_at +. float_of_int (t.cfg.mispredict_penalty / 2);
+let btb_stall t =
+  let clock0 = Array.unsafe_get t.clock 0 in
+  Array.unsafe_set t.clock 0
+    (Array.unsafe_get t.done_at 0 +. float_of_int (t.cfg.mispredict_penalty / 2));
   if !Obs.profile_enabled then begin
     let pen = float_of_int (t.cfg.mispredict_penalty / 2) in
     Profile.note Profile.global Profile.Mispredict_refill pen;
-    Profile.note Profile.global Profile.Wrong_path (t.clock -. clock0 -. pen)
+    Profile.note Profile.global Profile.Wrong_path (t.clock.(0) -. clock0 -. pen)
   end
 
 (* Timing for one committed instruction, given what architecturally
    happened. All static properties (length, operand registers, latency,
-   criticality) come pre-decoded from [info.uop]; the dynamic hooks
-   (caches, TLB, predictor, wrong-path speculation) still fire per
-   committed instruction, so modeled cycles are unchanged. *)
-let account t (info : Machine.exec_info) =
-  let u = info.uop in
+   criticality) come pre-decoded from the µop and the dynamic ones from
+   the machine's event slot; the dynamic hooks (caches, TLB, predictor,
+   wrong-path speculation) still fire per committed instruction, so
+   modeled cycles are unchanged. *)
+let account t (u : Uop.t) (ev : Machine.event) =
   (* One flag load each per committed instruction; with observability off
      everything below behaves exactly as before (same arithmetic, same
      order), so modeled cycles are bit-identical either way. *)
   let profiling = !Obs.profile_enabled in
   let tracing = !Obs.trace_enabled in
-  let clock0 = t.clock in
+  let clock = t.clock in
+  let clock0 = Array.unsafe_get clock 0 in
   let issue_step = 1.0 /. t.cfg.issue_width in
   (* Fetch: i-cache miss stalls the front end. *)
   let fetch_addr = u.Uop.fetch_addr in
@@ -257,8 +264,17 @@ let account t (info : Machine.exec_info) =
      retirement) — this is why a predicted-not-taken bounds check is
      cheap while a pointer-chasing load chain is not. *)
   let issue =
-    if u.Uop.off_critical then t.clock +. issue_step +. fetch_penalty
-    else Float.max (t.clock +. issue_step) (reg_ready t u.Uop.reads) +. fetch_penalty
+    if u.Uop.off_critical then clock0 +. issue_step +. fetch_penalty
+    else begin
+      (* Latest source-ready time, folded over the pre-resolved reads in
+         their [Instr.reads] order. Inline so the float stays unboxed. *)
+      let srcs = u.Uop.reads in
+      let ready = ref clock0 in
+      for i = 0 to Array.length srcs - 1 do
+        ready := fmax !ready (Array.unsafe_get t.ready (Array.unsafe_get srcs i))
+      done;
+      fmax (clock0 +. issue_step) !ready +. fetch_penalty
+    end
   in
   (* Profiling: find the binding source register (the one whose ready
      time gated issue) *before* set_ready may overwrite its slot — its
@@ -283,33 +299,36 @@ let account t (info : Machine.exec_info) =
   let latency = u.Uop.latency in
   if profiling then t.mem_blame <- blame_exec;
   let mem_latency =
-    match info.mem with
-    | None -> 0.0
-    | Some a ->
-      let tlb_cycles = Tlb.timed_access t.dtlb a.addr in
-      let cache_cycles = Cache.timed_access t.dcache a.addr in
+    if not ev.Machine.has_mem then 0.0
+    else begin
+      let addr = ev.Machine.mem_addr in
+      let write = ev.Machine.mem_write in
+      let tlb_cycles = Tlb.timed_access t.dtlb addr in
+      let cache_cycles = Cache.timed_access t.dcache addr in
       (* §4.2: HFI region/bound checks complete in parallel with the dtb
          lookup, so they contribute max(check, tlb) = tlb. The ablation
          places them after translation instead. *)
       let hfi_extra =
         if t.cfg.hfi_checks_in_parallel then 0.0
-        else if Hfi.enabled (Machine.hfi t.m) || a.via_hmov then 1.0
+        else if Hfi.enabled (Machine.hfi t.m) || ev.Machine.mem_hmov then 1.0
         else 0.0
       in
       if profiling then
         t.mem_blame <-
           (if tlb_cycles > t.cfg.dtlb.Tlb.hit_latency then blame_dtlb
-           else if (not a.write) && cache_cycles > t.cfg.dcache.Cache.hit_latency then
+           else if (not write) && cache_cycles > t.cfg.dcache.Cache.hit_latency then
              blame_dcache
            else if hfi_extra > 0.0 then blame_hfi
            else blame_exec);
-      if a.write then float_of_int tlb_cycles +. hfi_extra
+      if write then float_of_int tlb_cycles +. hfi_extra
       else float_of_int (tlb_cycles + cache_cycles) +. hfi_extra
+    end
   in
   let done_at = issue +. latency +. mem_latency in
-  set_ready t u.Uop.writes done_at;
+  Array.unsafe_set t.done_at 0 done_at;
+  set_ready t u.Uop.writes;
   if profiling then set_blame t u.Uop.writes t.mem_blame;
-  t.clock <- issue;
+  Array.unsafe_set clock 0 issue;
   if profiling then begin
     (* Decompose this instruction's front-end advance exactly: the issue
        slot, the fetch penalty, and whatever remains is the wait on the
@@ -320,104 +339,108 @@ let account t (info : Machine.exec_info) =
     if wait <> 0.0 then Profile.note Profile.global (cause_of_blame wait_blame) wait
   end;
   (* Branch prediction and wrong-path execution. *)
-  (match info.branch with
-  | None -> ()
-  | Some b -> begin
-    match b.kind with
-    | Machine.Cond ->
-      let predicted_taken = Predictor.predict_cond t.pred ~pc:info.index in
-      let predicted = if predicted_taken then b.target (* static target *) else b.fallthrough in
-      (* For a conditional, the taken target comes from the decoder, so a
-         correct taken-prediction lands on the right path even on a BTB
-         cold miss. *)
-      let predicted =
-        if predicted_taken && not b.taken then
-          (* predicted taken, actually fell through: wrong path = the
-             encoded target *)
-          (match u.Uop.op with Uop.Ojcc { target; _ } -> target | _ -> predicted)
-        else predicted
-      in
-      if predicted_taken <> b.taken then Predictor.note_cond_mispredict t.pred;
-      wrong_path_from t ~done_at ~actual:b.target predicted;
-      Predictor.update_cond t.pred ~pc:info.index ~taken:b.taken
-    | Machine.Uncond -> ()
-    | Machine.Indirect -> begin
-      match Predictor.predict_indirect t.pred ~pc:info.index with
-      | Some predicted ->
-        if predicted <> b.target then Predictor.note_indirect_mispredict t.pred;
-        wrong_path_from t ~done_at ~actual:b.target predicted;
-        Predictor.update_indirect t.pred ~pc:info.index ~target:b.target
-      | None ->
-        (* BTB miss: the front end waits for resolution — a stall but no
-           wrong-path execution. *)
-        btb_stall t ~done_at;
-        Predictor.update_indirect t.pred ~pc:info.index ~target:b.target
+  let pc = u.Uop.index in
+  (match ev.Machine.branch with
+  | Machine.No_branch | Machine.Uncond -> ()
+  | Machine.Cond ->
+    let taken = ev.Machine.taken in
+    let predicted_taken = Predictor.predict_cond t.pred ~pc in
+    let predicted =
+      if predicted_taken then ev.Machine.target (* static target *) else ev.Machine.fallthrough
+    in
+    (* For a conditional, the taken target comes from the decoder, so a
+       correct taken-prediction lands on the right path even on a BTB
+       cold miss. *)
+    let predicted =
+      if predicted_taken && not taken then
+        (* predicted taken, actually fell through: wrong path = the
+           encoded target *)
+        (match u.Uop.op with Uop.Ojcc { target; _ } -> target | _ -> predicted)
+      else predicted
+    in
+    if predicted_taken <> taken then Predictor.note_cond_mispredict t.pred;
+    wrong_path_from t ~actual:ev.Machine.target predicted;
+    Predictor.update_cond t.pred ~pc ~taken
+  | Machine.Indirect ->
+    let target = ev.Machine.target in
+    let predicted = Predictor.predict_indirect t.pred ~pc in
+    if predicted >= 0 then begin
+      if predicted <> target then Predictor.note_indirect_mispredict t.pred;
+      wrong_path_from t ~actual:target predicted
     end
-    | Machine.Call_k -> begin
-      Predictor.push_ras t.pred b.fallthrough;
-      (* Indirect calls are BTB-predicted: a mistrained BTB sends the
-         front end down an attacker-chosen path (Spectre-BTB). *)
-      (match u.Uop.op with
-      | Uop.Ocall_ind _ -> begin
-        match Predictor.predict_indirect t.pred ~pc:info.index with
-        | Some predicted ->
-          if predicted <> b.target then Predictor.note_indirect_mispredict t.pred;
-          wrong_path_from t ~done_at ~actual:b.target predicted
-        | None -> btb_stall t ~done_at
+    else
+      (* BTB miss: the front end waits for resolution — a stall but no
+         wrong-path execution. *)
+      btb_stall t;
+    Predictor.update_indirect t.pred ~pc ~target
+  | Machine.Call_k ->
+    let target = ev.Machine.target in
+    Predictor.push_ras t.pred ev.Machine.fallthrough;
+    (* Indirect calls are BTB-predicted: a mistrained BTB sends the
+       front end down an attacker-chosen path (Spectre-BTB). *)
+    (match u.Uop.op with
+    | Uop.Ocall_ind _ ->
+      let predicted = Predictor.predict_indirect t.pred ~pc in
+      if predicted >= 0 then begin
+        if predicted <> target then Predictor.note_indirect_mispredict t.pred;
+        wrong_path_from t ~actual:target predicted
       end
-      | _ -> ());
-      Predictor.update_indirect t.pred ~pc:info.index ~target:b.target
-    end
-    | Machine.Ret_k -> begin
-      match Predictor.pop_ras t.pred with
-      | Some predicted when predicted = b.target -> ()
-      | Some predicted ->
-        Predictor.note_indirect_mispredict t.pred;
-        wrong_path_from t ~done_at ~actual:b.target predicted
-      | None -> btb_stall t ~done_at
-    end
-  end);
+      else btb_stall t
+    | _ -> ());
+    Predictor.update_indirect t.pred ~pc ~target
+  | Machine.Ret_k ->
+    let target = ev.Machine.target in
+    let predicted = Predictor.pop_ras t.pred in
+    if predicted < 0 then btb_stall t
+    else if predicted <> target then begin
+      Predictor.note_indirect_mispredict t.pred;
+      wrong_path_from t ~actual:target predicted
+    end);
   (* Serialization: drain — all in-flight results must complete, then pay
      the drain penalty. *)
-  if info.serializing then begin
+  if ev.Machine.serializing then begin
     t.drains <- t.drains + 1;
     let penalty = if u.Uop.is_cpuid then Cost.cpuid_drain else t.cfg.drain_penalty in
-    let all_done = Array.fold_left Float.max t.clock t.ready in
-    let drain_from = t.clock in
-    t.clock <- Float.max t.clock all_done +. float_of_int penalty;
+    let drain_from = Array.unsafe_get clock 0 in
+    let all_done = ref drain_from in
+    for i = 0 to Array.length t.ready - 1 do
+      all_done := fmax !all_done (Array.unsafe_get t.ready i)
+    done;
+    Array.unsafe_set clock 0 (fmax drain_from !all_done +. float_of_int penalty);
     (* Drains the HFI transition machinery forced are the §3.4
        serialization cost; cpuid/mfence drains are architectural. *)
     let hfi_caused = not u.Uop.base_serializing in
     if profiling then
       Profile.note Profile.global
         (if hfi_caused then Profile.Hfi_serialization else Profile.Drain)
-        (t.clock -. drain_from);
+        (clock.(0) -. drain_from);
     if tracing then
       Trace.emit Trace.Drain ~ts:drain_from
-        ~dur:(t.clock -. drain_from)
+        ~dur:(clock.(0) -. drain_from)
         ~b:(if hfi_caused then 1 else 0)
   end;
   (* Kernel time and signal delivery are serial. *)
-  if info.kernel_cycles > 0.0 then begin
-    t.clock <- t.clock +. info.kernel_cycles;
-    if profiling then Profile.note Profile.global Profile.Kernel info.kernel_cycles
+  let kernel_cycles = Array.unsafe_get ev.Machine.kernel_cycles 0 in
+  if kernel_cycles > 0.0 then begin
+    Array.unsafe_set clock 0 (Array.unsafe_get clock 0 +. kernel_cycles);
+    if profiling then Profile.note Profile.global Profile.Kernel kernel_cycles
   end;
-  (match info.signal with
-  | Some _ ->
-    t.clock <- t.clock +. float_of_int Cost.signal_delivery;
+  if ev.Machine.signalled then begin
+    Array.unsafe_set clock 0
+      (Array.unsafe_get clock 0 +. float_of_int Cost.signal_delivery);
     if profiling then
       Profile.note Profile.global Profile.Signal (float_of_int Cost.signal_delivery)
-  | None -> ());
+  end;
   t.committed <- t.committed + 1
 
 let run ?(fuel = max_int) t =
   (* Machine.run picks per-block µop dispatch or the reference AST loop
      (HFI_DECODE_CACHE); accounting is identical either way. *)
-  Machine.run ~fuel t.m (account t)
+  Machine.run ~fuel t.m (fun u ev -> account t u ev)
 
 let result t =
   {
-    cycles = t.clock;
+    cycles = t.clock.(0);
     instrs = t.committed;
     icache_hits = Cache.hits t.icache;
     icache_misses = Cache.misses t.icache;

@@ -34,7 +34,7 @@ type t = {
   dcache : Cache.t;
   dtlb : Tlb.t;
   pred : Predictor.t;
-  mutable clock : float;
+  clock : float array;  (* one element: modeled cycles, stored unboxed *)
   mutable committed : int;
   mutable last_fetch_line : int;
   mutable l2_stream_line : int;
@@ -42,7 +42,7 @@ type t = {
 }
 
 let attach t m =
-  Machine.set_now m (fun () -> int_of_float t.clock);
+  Machine.set_now m (fun () -> int_of_float (Array.unsafe_get t.clock 0));
   Machine.set_on_flush m (fun addr -> Cache.flush_line t.dcache addr)
 
 let create ?(config = default) m =
@@ -54,7 +54,7 @@ let create ?(config = default) m =
       dcache = Cache.create Cache.skylake_l1d;
       dtlb = Tlb.create Tlb.skylake_dtlb;
       pred = Predictor.create ();
-      clock = 0.0;
+      clock = [| 0.0 |];
       committed = 0;
       last_fetch_line = -10;
       l2_stream_line = -10;
@@ -72,7 +72,7 @@ let reset t m =
   Cache.reset t.dcache;
   Tlb.reset t.dtlb;
   Predictor.reset t.pred;
-  t.clock <- 0.0;
+  t.clock.(0) <- 0.0;
   t.committed <- 0;
   t.last_fetch_line <- -10;
   t.l2_stream_line <- -10;
@@ -84,10 +84,10 @@ let reset t m =
    without flambda every [:=] on a float ref boxes, and this runs once
    per simulated instruction. The addition order is exactly the order
    the old imperative code used, so cycle totals are bit-identical.
-   Static cost properties come pre-decoded from [info.uop]. *)
-let account t (info : Machine.exec_info) =
+   Static cost properties come pre-decoded from the µop; the dynamic
+   ones are read from the machine's event slot. *)
+let account t (u : Uop.t) (ev : Machine.event) =
   let cfg = t.cfg in
-  let u = info.uop in
   let c = 1.0 /. cfg.issue_width in
   let c =
     c
@@ -126,89 +126,88 @@ let account t (info : Machine.exec_info) =
           else c +. (float_of_int (Cache.latency t.icache `Miss) *. cfg.miss_overlap)
       in
       t.last_fetch_line <- line;
-      match info.mem with
-      | None -> c
-      | Some a ->
+      if not ev.Machine.has_mem then c
+      else begin
+        let addr = ev.Machine.mem_addr in
         let c =
-          match Tlb.access t.dtlb a.addr with
+          match Tlb.access t.dtlb addr with
           | `Hit -> c
           | `Miss -> c +. (float_of_int Tlb.skylake_dtlb.Tlb.miss_latency *. cfg.miss_overlap)
         in
-        (match Cache.access t.dcache a.addr with
+        match Cache.access t.dcache addr with
         | `Hit -> c
         | `Miss ->
-          if not a.write then c +. (float_of_int (Cache.latency t.dcache `Miss) *. cfg.miss_overlap)
-          else c)
+          if not ev.Machine.mem_write then
+            c +. (float_of_int (Cache.latency t.dcache `Miss) *. cfg.miss_overlap)
+          else c
+      end
     end
   in
   (* Branches: charge mispredicts via the same predictor as the cycle
      engine, but without wrong-path execution. Squash/drain trace events
      mirror the cycle engine's (no transient count, dur = the analytic
      penalty); emission never touches the accumulator. *)
+  let pc = u.Uop.index in
   let c =
-    match info.branch with
-    | Some b -> begin
-      match b.kind with
-      | Machine.Cond ->
-        let predicted = Predictor.predict_cond t.pred ~pc:info.index in
-        let c =
-          if predicted <> b.taken then begin
-            Predictor.note_cond_mispredict t.pred;
-            if !Hfi_obs.Obs.trace_enabled then
-              Hfi_obs.Trace.(emit Squash ~ts:t.clock ~dur:cfg.mispredict_penalty);
-            c +. cfg.mispredict_penalty
-          end
-          else c
-        in
-        Predictor.update_cond t.pred ~pc:info.index ~taken:b.taken;
-        c
-      | Machine.Indirect -> begin
-        match Predictor.predict_indirect t.pred ~pc:info.index with
-        | Some p when p = b.target -> c
-        | _ ->
-          Predictor.note_indirect_mispredict t.pred;
-          Predictor.update_indirect t.pred ~pc:info.index ~target:b.target;
+    match ev.Machine.branch with
+    | Machine.Cond ->
+      let taken = ev.Machine.taken in
+      let predicted = Predictor.predict_cond t.pred ~pc in
+      let c =
+        if predicted <> taken then begin
+          Predictor.note_cond_mispredict t.pred;
           if !Hfi_obs.Obs.trace_enabled then
-            Hfi_obs.Trace.(emit Squash ~ts:t.clock ~dur:cfg.mispredict_penalty);
+            Hfi_obs.Trace.(emit Squash ~ts:t.clock.(0) ~dur:cfg.mispredict_penalty);
           c +. cfg.mispredict_penalty
+        end
+        else c
+      in
+      Predictor.update_cond t.pred ~pc ~taken;
+      c
+    | Machine.Indirect ->
+      let target = ev.Machine.target in
+      if Predictor.predict_indirect t.pred ~pc = target then c
+      else begin
+        Predictor.note_indirect_mispredict t.pred;
+        Predictor.update_indirect t.pred ~pc ~target;
+        if !Hfi_obs.Obs.trace_enabled then
+          Hfi_obs.Trace.(emit Squash ~ts:t.clock.(0) ~dur:cfg.mispredict_penalty);
+        c +. cfg.mispredict_penalty
       end
-      | Machine.Call_k ->
-        Predictor.push_ras t.pred b.fallthrough;
-        c
-      | Machine.Ret_k -> begin
-        match Predictor.pop_ras t.pred with
-        | Some p when p = b.target -> c
-        | _ ->
-          Predictor.note_indirect_mispredict t.pred;
-          if !Hfi_obs.Obs.trace_enabled then
-            Hfi_obs.Trace.(emit Squash ~ts:t.clock ~dur:cfg.mispredict_penalty);
-          c +. cfg.mispredict_penalty
+    | Machine.Call_k ->
+      Predictor.push_ras t.pred ev.Machine.fallthrough;
+      c
+    | Machine.Ret_k ->
+      if Predictor.pop_ras t.pred = ev.Machine.target then c
+      else begin
+        Predictor.note_indirect_mispredict t.pred;
+        if !Hfi_obs.Obs.trace_enabled then
+          Hfi_obs.Trace.(emit Squash ~ts:t.clock.(0) ~dur:cfg.mispredict_penalty);
+        c +. cfg.mispredict_penalty
       end
-      | Machine.Uncond -> c
-    end
-    | None -> c
+    | Machine.Uncond | Machine.No_branch -> c
   in
   let c =
-    if info.serializing then begin
+    if ev.Machine.serializing then begin
       let pen = if u.Uop.is_cpuid then float_of_int Cost.cpuid_drain else cfg.drain_penalty in
       if !Hfi_obs.Obs.trace_enabled then
         Hfi_obs.Trace.(
-          emit Drain ~ts:t.clock ~dur:pen ~b:(if u.Uop.base_serializing then 0 else 1));
+          emit Drain ~ts:t.clock.(0) ~dur:pen ~b:(if u.Uop.base_serializing then 0 else 1));
       c +. pen
     end
     else c
   in
-  let c = c +. info.kernel_cycles in
-  let c = match info.signal with Some _ -> c +. float_of_int Cost.signal_delivery | None -> c in
-  t.clock <- t.clock +. c;
+  let c = c +. Array.unsafe_get ev.Machine.kernel_cycles 0 in
+  let c = if ev.Machine.signalled then c +. float_of_int Cost.signal_delivery else c in
+  Array.unsafe_set t.clock 0 (Array.unsafe_get t.clock 0 +. c);
   t.committed <- t.committed + 1
 
 let run ?(fuel = max_int) t =
   (* Machine.run picks per-block µop dispatch or the reference AST loop
      (HFI_DECODE_CACHE); accounting is identical either way. *)
-  Machine.run ~fuel t.m (account t)
+  Machine.run ~fuel t.m (fun u ev -> account t u ev)
 
-let cycles t = t.clock
+let cycles t = t.clock.(0)
 let instrs t = t.committed
 let machine t = t.m
 let icache_misses t = Cache.misses t.icache

@@ -1,19 +1,26 @@
 type access = { addr : int; bytes : int; write : bool; via_hmov : bool }
 
-type branch_kind = Cond | Uncond | Indirect | Call_k | Ret_k
+type branch_kind = No_branch | Cond | Uncond | Indirect | Call_k | Ret_k
 
-type branch_info = { kind : branch_kind; taken : bool; target : int; fallthrough : int }
-
-type exec_info = {
-  index : int;
-  instr : Instr.t;
-  uop : Uop.t;
-  mem : access option;
-  branch : branch_info option;
-  serializing : bool;
-  kernel_cycles : float;
-  signal : Msr.t option;
+type event = {
+  mutable has_mem : bool;
+  mutable mem_addr : int;
+  mutable mem_bytes : int;
+  mutable mem_write : bool;
+  mutable mem_hmov : bool;
+  mutable branch : branch_kind;
+  mutable taken : bool;
+  mutable target : int;
+  mutable fallthrough : int;
+  mutable serializing : bool;
+  kernel_cycles : float array;
+  mutable signalled : bool;
 }
+
+let access ev =
+  if ev.has_mem then
+    Some { addr = ev.mem_addr; bytes = ev.mem_bytes; write = ev.mem_write; via_hmov = ev.mem_hmov }
+  else None
 
 type status = Running | Halted | Faulted of Msr.t
 
@@ -40,6 +47,8 @@ type t = {
   mutable resume : int option;
       (* instruction to resume at after hfi_reenter (set when a syscall
          is redirected to the exit handler) *)
+  ev : event;  (* the one event slot every step overwrites *)
+  shadow : int array;  (* [speculate]'s register copy, reused per call *)
 }
 
 (* Dispatch selection. One fast path and one reference:
@@ -74,6 +83,22 @@ let create ?signal_handler ~prog ~code_base ~mem ~kernel ~hfi ~entry () =
     now = (fun () -> 0);
     on_flush = ignore;
     resume = None;
+    ev =
+      {
+        has_mem = false;
+        mem_addr = 0;
+        mem_bytes = 0;
+        mem_write = false;
+        mem_hmov = false;
+        branch = No_branch;
+        taken = false;
+        target = 0;
+        fallthrough = 0;
+        serializing = false;
+        kernel_cycles = [| 0.0 |];
+        signalled = false;
+      };
+    shadow = Array.make Reg.count 0;
   }
 
 let set_now t f = t.now <- f
@@ -190,24 +215,102 @@ let check_ifetch t ~addr =
 (* Structured event trace: one event per committed instruction when
    tracing is on. Out of line so the hot path pays only the flag test at
    the call site; [ts] is the modeled clock via the installed rdtsc. *)
-let trace_commit t (info : exec_info) =
+let trace_commit t (u : Uop.t) =
   let ts = float_of_int (t.now ()) in
-  (match info.instr with
+  (match u.Uop.instr with
    | Instr.Hfi_enter _ -> Hfi_obs.Trace.(emit Transition ~ts ~a:0)
    | Instr.Hfi_exit -> Hfi_obs.Trace.(emit Transition ~ts ~a:1)
    | Instr.Hfi_reenter -> Hfi_obs.Trace.(emit Transition ~ts ~a:2)
-   | Instr.Syscall -> Hfi_obs.Trace.(emit Syscall ~ts ~a:info.index)
-   | _ -> Hfi_obs.Trace.(emit Commit ~ts ~a:info.index));
-  match info.signal with
-  | Some reason -> Hfi_obs.Trace.(emit Fault ~ts ~a:(Msr.encode reason))
-  | None -> ()
+   | Instr.Syscall -> Hfi_obs.Trace.(emit Syscall ~ts ~a:u.Uop.index)
+   | _ -> Hfi_obs.Trace.(emit Commit ~ts ~a:u.Uop.index));
+  match t.last_signal with
+  | Some reason when t.ev.signalled -> Hfi_obs.Trace.(emit Fault ~ts ~a:(Msr.encode reason))
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Reference interpreter: match on the instruction AST. Kept verbatim as
-   the semantic baseline the µop path is tested against; only [run_ast]
+(* Event-slot writers shared by both interpreters. Every field is an int,
+   a bool or a constant constructor, so the stores need no write barrier
+   and a step allocates nothing for its event. *)
+
+let[@inline] begin_event ev ~serializing =
+  ev.has_mem <- false;
+  ev.branch <- No_branch;
+  ev.serializing <- serializing;
+  Array.unsafe_set ev.kernel_cycles 0 0.0;
+  ev.signalled <- false
+
+let[@inline] note_mem ev ~addr ~bytes ~write ~via_hmov =
+  ev.has_mem <- true;
+  ev.mem_addr <- addr;
+  ev.mem_bytes <- bytes;
+  ev.mem_write <- write;
+  ev.mem_hmov <- via_hmov
+
+let[@inline] note_branch ev kind ~taken ~target ~fallthrough =
+  ev.branch <- kind;
+  ev.taken <- taken;
+  ev.target <- target;
+  ev.fallthrough <- fallthrough
+
+(* Only the HFI transition and region instructions drain the pipeline,
+   so only their cases read the drain counter, around the call. *)
+let drains t = (Hfi.stats t.hfi).Hfi.drains
+let note_drain t d0 = if drains t > d0 then t.ev.serializing <- true
+
+(* Next instruction after an HFI transition's effect. *)
+let hfi_next t effect ~next =
+  match effect with
+  | Hfi.Continue -> next
+  | Hfi.Jump a -> begin
+    match index_of_addr t a with
+    | Some i -> i
+    | None -> raise (Trap_exn (Msr.Hardware_fault a))
+  end
+  | Hfi.Trap r -> raise (Trap_exn r)
+
+let hfi_reenter_next t effect ~next =
+  match effect with
+  | Hfi.Continue -> begin
+    match t.resume with
+    | Some i ->
+      t.resume <- None;
+      i
+    | None -> next
+  end
+  | effect -> hfi_next t effect ~next
+
+(* Region updates never redirect control; only a trap matters. *)
+let hfi_region_effect = function Hfi.Trap r -> raise (Trap_exn r) | Hfi.Continue | Hfi.Jump _ -> ()
+
+(* A syscall the sandbox permits. Only [Kernel.dispatch] charges kernel
+   time, so the clock is read around it alone. *)
+let kernel_syscall t ~number ~arg0 ~arg1 ~arg2 =
+  let k0 = Kernel.cycles t.kernel in
+  let result = Kernel.dispatch t.kernel ~number ~arg0 ~arg1 ~arg2 in
+  let k1 = Kernel.cycles t.kernel in
+  if k1 <> k0 then Array.unsafe_set t.ev.kernel_cycles 0 (k1 -. k0);
+  result
+
+(* Signal delivery: record the trap, then redirect to the runtime's
+   handler if one is registered, otherwise end the run. Fault path only —
+   the no-trap hot path never touches this, so modeled cycle counts are
+   unchanged by the fault plumbing. Returns the next instruction. *)
+let deliver t ~pc_addr ~next reason =
+  t.ev.signalled <- true;
+  t.last_signal <- Some reason;
+  t.last_fault <- Some (Msr.to_fault ~pc:pc_addr ~cycle:t.instr_count reason);
+  match t.signal_handler with
+  | Some h -> h
+  | None ->
+    t.status_ <- Faulted reason;
+    next
+
+(* ------------------------------------------------------------------ *)
+(* Reference interpreter: match on the instruction AST. Kept as the
+   semantic baseline the µop path is tested against; only [run_ast]
    (selected by HFI_DECODE_CACHE=0) calls it. *)
 
-let step t (observe : exec_info -> unit) =
+let step t (observe : Uop.t -> event -> unit) =
   match t.status_ with
   | Halted | Faulted _ -> t.status_
   | Running ->
@@ -216,11 +319,9 @@ let step t (observe : exec_info -> unit) =
       let index = t.pc in
       let ins = Program.get t.prog index in
       let pc_addr = addr_of_index t index in
-      let mem_acc = ref None in
-      let branch = ref None in
-      let signal = ref None in
-      let kcycles0 = Kernel.cycles t.kernel in
-      let drains0 = (Hfi.stats t.hfi).Hfi.drains in
+      let ev = t.ev in
+      begin_event ev
+        ~serializing:(match ins with Instr.Cpuid | Instr.Mfence -> true | _ -> false);
       let fallthrough = index + 1 in
       let next = ref fallthrough in
       t.instr_count <- t.instr_count + 1;
@@ -232,23 +333,23 @@ let step t (observe : exec_info -> unit) =
          | Instr.Load (w, d, m) ->
            let addr = effective_address t m in
            let bytes = Instr.width_bytes w in
-           mem_acc := Some { addr; bytes; write = false; via_hmov = false };
+           note_mem ev ~addr ~bytes ~write:false ~via_hmov:false;
            set_reg t d (data_access t ~addr ~bytes ~write:false ~value:0)
          | Instr.Store (w, m, s) ->
            let addr = effective_address t m in
            let bytes = Instr.width_bytes w in
-           mem_acc := Some { addr; bytes; write = true; via_hmov = false };
+           note_mem ev ~addr ~bytes ~write:true ~via_hmov:false;
            ignore
              (data_access t ~addr ~bytes ~write:true ~value:(mask_width w (src_value t s)))
          | Instr.Hload (n, w, d, m) ->
            let bytes = Instr.width_bytes w in
            let addr = hmov_resolve t ~region:n m ~bytes ~write:false in
-           mem_acc := Some { addr; bytes; write = false; via_hmov = true };
+           note_mem ev ~addr ~bytes ~write:false ~via_hmov:true;
            set_reg t d (hmov_paged_access t ~addr ~bytes ~write:false ~value:0)
          | Instr.Hstore (n, w, m, s) ->
            let bytes = Instr.width_bytes w in
            let addr = hmov_resolve t ~region:n m ~bytes ~write:true in
-           mem_acc := Some { addr; bytes; write = true; via_hmov = true };
+           note_mem ev ~addr ~bytes ~write:true ~via_hmov:true;
            ignore
              (hmov_paged_access t ~addr ~bytes ~write:true
                 ~value:(mask_width w (src_value t s)))
@@ -259,66 +360,66 @@ let step t (observe : exec_info -> unit) =
            t.cmp_a <- get_reg t d
          | Instr.Cmp_mem (d, m) ->
            let addr = effective_address t m in
-           mem_acc := Some { addr; bytes = 8; write = false; via_hmov = false };
+           note_mem ev ~addr ~bytes:8 ~write:false ~via_hmov:false;
            let b = data_access t ~addr ~bytes:8 ~write:false ~value:0 in
            t.cmp_b <- b;
            t.cmp_a <- get_reg t d
          | Instr.Jmp tgt ->
            next := tgt;
-           branch := Some { kind = Uncond; taken = true; target = tgt; fallthrough }
+           note_branch ev Uncond ~taken:true ~target:tgt ~fallthrough
          | Instr.Jcc (c, tgt) ->
            let taken = Instr.eval_cond c t.cmp_a t.cmp_b in
            if taken then next := tgt;
-           branch := Some { kind = Cond; taken; target = !next; fallthrough }
+           note_branch ev Cond ~taken ~target:!next ~fallthrough
          | Instr.Jmp_ind r -> begin
            let a = get_reg t r in
            match index_of_addr t a with
            | Some i ->
              next := i;
-             branch := Some { kind = Indirect; taken = true; target = i; fallthrough }
+             note_branch ev Indirect ~taken:true ~target:i ~fallthrough
            | None -> raise (Trap_exn (Msr.Hardware_fault a))
          end
          | Instr.Call tgt ->
            let rsp = get_reg t Reg.RSP - 8 in
            set_reg t Reg.RSP rsp;
-           mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
+           note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
            ignore
              (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(addr_of_index t fallthrough));
            next := tgt;
-           branch := Some { kind = Call_k; taken = true; target = tgt; fallthrough }
+           note_branch ev Call_k ~taken:true ~target:tgt ~fallthrough
          | Instr.Call_ind r -> begin
            let a = get_reg t r in
            match index_of_addr t a with
            | Some i ->
              let rsp = get_reg t Reg.RSP - 8 in
              set_reg t Reg.RSP rsp;
-             mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
+             note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
              ignore
                (data_access t ~addr:rsp ~bytes:8 ~write:true
                   ~value:(addr_of_index t fallthrough));
              next := i;
-             branch := Some { kind = Call_k; taken = true; target = i; fallthrough }
+             note_branch ev Call_k ~taken:true ~target:i ~fallthrough
            | None -> raise (Trap_exn (Msr.Hardware_fault a))
          end
          | Instr.Ret -> begin
            let rsp = get_reg t Reg.RSP in
-           mem_acc := Some { addr = rsp; bytes = 8; write = false; via_hmov = false };
+           note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
            let ra = data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0 in
            set_reg t Reg.RSP (rsp + 8);
            match index_of_addr t ra with
            | Some i ->
              next := i;
-             branch := Some { kind = Ret_k; taken = true; target = i; fallthrough }
+             note_branch ev Ret_k ~taken:true ~target:i ~fallthrough
            | None -> raise (Trap_exn (Msr.Hardware_fault ra))
          end
          | Instr.Push r ->
            let rsp = get_reg t Reg.RSP - 8 in
            set_reg t Reg.RSP rsp;
-           mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
+           note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
            ignore (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(get_reg t r))
          | Instr.Pop r ->
            let rsp = get_reg t Reg.RSP in
-           mem_acc := Some { addr = rsp; bytes = 8; write = false; via_hmov = false };
+           note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
            set_reg t r (data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0);
            set_reg t Reg.RSP (rsp + 8)
          | Instr.Syscall -> begin
@@ -326,8 +427,8 @@ let step t (observe : exec_info -> unit) =
            match Hfi.on_syscall t.hfi ~number with
            | `Allow ->
              let result =
-               Kernel.dispatch t.kernel ~number ~arg0:(get_reg t Reg.RDI)
-                 ~arg1:(get_reg t Reg.RSI) ~arg2:(get_reg t Reg.RDX)
+               kernel_syscall t ~number ~arg0:(get_reg t Reg.RDI) ~arg1:(get_reg t Reg.RSI)
+                 ~arg2:(get_reg t Reg.RDX)
              in
              set_reg t Reg.RAX result
            | `Redirect h -> begin
@@ -340,58 +441,36 @@ let step t (observe : exec_info -> unit) =
            end
            | `Fault -> raise (Trap_exn (Msr.Syscall_trap number))
          end
-         | Instr.Hfi_enter spec -> begin
-           match Hfi.exec_enter t.hfi spec with
-           | Hfi.Continue -> ()
-           | Hfi.Jump a -> begin
-             match index_of_addr t a with
-             | Some i -> next := i
-             | None -> raise (Trap_exn (Msr.Hardware_fault a))
-           end
-           | Hfi.Trap r -> raise (Trap_exn r)
-         end
-         | Instr.Hfi_exit -> begin
-           match Hfi.exec_exit t.hfi with
-           | Hfi.Continue -> ()
-           | Hfi.Jump a -> begin
-             match index_of_addr t a with
-             | Some i -> next := i
-             | None -> raise (Trap_exn (Msr.Hardware_fault a))
-           end
-           | Hfi.Trap r -> raise (Trap_exn r)
-         end
-         | Instr.Hfi_reenter -> begin
-           match Hfi.exec_reenter t.hfi with
-           | Hfi.Continue -> begin
-             match t.resume with
-             | Some i ->
-               next := i;
-               t.resume <- None
-             | None -> ()
-           end
-           | Hfi.Jump a -> begin
-             match index_of_addr t a with
-             | Some i -> next := i
-             | None -> raise (Trap_exn (Msr.Hardware_fault a))
-           end
-           | Hfi.Trap r -> raise (Trap_exn r)
-         end
-         | Instr.Hfi_set_region (slot, r) -> begin
-           match Hfi.exec_set_region t.hfi ~slot r with
-           | Hfi.Continue -> ()
-           | Hfi.Jump _ -> ()
-           | Hfi.Trap reason -> raise (Trap_exn reason)
-         end
-         | Instr.Hfi_clear_region slot -> begin
-           match Hfi.exec_clear_region t.hfi ~slot with
-           | Hfi.Continue | Hfi.Jump _ -> ()
-           | Hfi.Trap reason -> raise (Trap_exn reason)
-         end
-         | Instr.Hfi_clear_all_regions -> begin
-           match Hfi.exec_clear_all t.hfi with
-           | Hfi.Continue | Hfi.Jump _ -> ()
-           | Hfi.Trap reason -> raise (Trap_exn reason)
-         end
+         | Instr.Hfi_enter spec ->
+           let d0 = drains t in
+           let e = Hfi.exec_enter t.hfi spec in
+           note_drain t d0;
+           next := hfi_next t e ~next:!next
+         | Instr.Hfi_exit ->
+           let d0 = drains t in
+           let e = Hfi.exec_exit t.hfi in
+           note_drain t d0;
+           next := hfi_next t e ~next:!next
+         | Instr.Hfi_reenter ->
+           let d0 = drains t in
+           let e = Hfi.exec_reenter t.hfi in
+           note_drain t d0;
+           next := hfi_reenter_next t e ~next:!next
+         | Instr.Hfi_set_region (slot, r) ->
+           let d0 = drains t in
+           let e = Hfi.exec_set_region t.hfi ~slot r in
+           note_drain t d0;
+           hfi_region_effect e
+         | Instr.Hfi_clear_region slot ->
+           let d0 = drains t in
+           let e = Hfi.exec_clear_region t.hfi ~slot in
+           note_drain t d0;
+           hfi_region_effect e
+         | Instr.Hfi_clear_all_regions ->
+           let d0 = drains t in
+           let e = Hfi.exec_clear_all t.hfi in
+           note_drain t d0;
+           hfi_region_effect e
          | Instr.Hfi_get_region (slot, d) -> begin
            match Hfi.exec_get_region t.hfi ~slot with
            | Ok v -> set_reg t d v
@@ -407,39 +486,11 @@ let step t (observe : exec_info -> unit) =
          | Instr.Clflush m -> t.on_flush (effective_address t m)
          | Instr.Mfence | Instr.Nop -> ()
          | Instr.Halt -> t.status_ <- Halted
-       with Trap_exn reason -> begin
-         signal := Some reason;
-         t.last_signal <- Some reason;
-         (* Fault path only — the no-trap hot path never touches this, so
-            modeled cycle counts are unchanged by the fault plumbing. *)
-         t.last_fault <- Some (Msr.to_fault ~pc:pc_addr ~cycle:t.instr_count reason);
-         match t.signal_handler with
-         | Some h -> next := h
-         | None -> t.status_ <- Faulted reason
-       end);
-      let drains = (Hfi.stats t.hfi).Hfi.drains - drains0 in
-      let serializing =
-        drains > 0 || (match ins with Instr.Cpuid | Instr.Mfence -> true | _ -> false)
-      in
-      (* Only syscalls (and signal delivery) charge kernel time; when the
-         boxed cycles field is physically unchanged, skip the float
-         subtraction — it would allocate a fresh box every step. *)
-      let kcycles1 = Kernel.cycles t.kernel in
-      let info =
-        {
-          index;
-          instr = ins;
-          uop = Array.unsafe_get t.uops index;
-          mem = !mem_acc;
-          branch = !branch;
-          serializing;
-          kernel_cycles = (if kcycles1 = kcycles0 then 0.0 else kcycles1 -. kcycles0);
-          signal = !signal;
-        }
-      in
+       with Trap_exn reason -> next := deliver t ~pc_addr ~next:!next reason);
       (match t.status_ with Running -> t.pc <- !next | Halted | Faulted _ -> ());
-      if !Hfi_obs.Obs.trace_enabled then trace_commit t info;
-      observe info;
+      let u = Array.unsafe_get t.uops index in
+      if !Hfi_obs.Obs.trace_enabled then trace_commit t u;
+      observe u ev;
       t.status_
     end
 
@@ -484,17 +535,12 @@ let hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write =
   end
 
 (* One fused step over a µop (the caller validated the pc). Mirrors
-   [step] case-for-case; the same per-step event record is built, from
-   the same young allocations, so observers and GC behavior match. *)
-let step_uop t (u : Uop.t) (observe : exec_info -> unit) =
-  let index = u.Uop.index in
+   [step] case-for-case and fills the same event slot. *)
+let step_uop t (u : Uop.t) (observe : Uop.t -> event -> unit) =
   let pc_addr = u.Uop.fetch_addr in
-  let mem_acc = ref None in
-  let branch = ref None in
-  let signal = ref None in
-  let kcycles0 = Kernel.cycles t.kernel in
-  let drains0 = (Hfi.stats t.hfi).Hfi.drains in
-  let fallthrough = index + 1 in
+  let ev = t.ev in
+  begin_event ev ~serializing:u.Uop.base_serializing;
+  let fallthrough = u.Uop.index + 1 in
   let next = ref fallthrough in
   t.instr_count <- t.instr_count + 1;
   (try
@@ -503,19 +549,19 @@ let step_uop t (u : Uop.t) (observe : exec_info -> unit) =
      | Uop.Omov { d; sreg; simm } -> rset t d (srcv t sreg simm)
      | Uop.Oload { bytes; d; mbase; midx; mscale; mdisp } ->
        let addr = ea_parts t ~mbase ~midx ~mscale ~mdisp in
-       mem_acc := Some { addr; bytes; write = false; via_hmov = false };
+       note_mem ev ~addr ~bytes ~write:false ~via_hmov:false;
        rset t d (data_access t ~addr ~bytes ~write:false ~value:0)
      | Uop.Ostore { bytes; mask; mbase; midx; mscale; mdisp; sreg; simm } ->
        let addr = ea_parts t ~mbase ~midx ~mscale ~mdisp in
-       mem_acc := Some { addr; bytes; write = true; via_hmov = false };
+       note_mem ev ~addr ~bytes ~write:true ~via_hmov:false;
        ignore (data_access t ~addr ~bytes ~write:true ~value:(srcv t sreg simm land mask))
      | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } ->
        let addr = hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write:false in
-       mem_acc := Some { addr; bytes; write = false; via_hmov = true };
+       note_mem ev ~addr ~bytes ~write:false ~via_hmov:true;
        rset t d (hmov_paged_access t ~addr ~bytes ~write:false ~value:0)
      | Uop.Ohstore { region; bytes; mask; midx; mscale; mdisp; sreg; simm } ->
        let addr = hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write:true in
-       mem_acc := Some { addr; bytes; write = true; via_hmov = true };
+       note_mem ev ~addr ~bytes ~write:true ~via_hmov:true;
        ignore
          (hmov_paged_access t ~addr ~bytes ~write:true ~value:(srcv t sreg simm land mask))
      | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
@@ -526,66 +572,66 @@ let step_uop t (u : Uop.t) (observe : exec_info -> unit) =
        t.cmp_a <- rget t d
      | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
        let addr = ea_parts t ~mbase ~midx ~mscale ~mdisp in
-       mem_acc := Some { addr; bytes = 8; write = false; via_hmov = false };
+       note_mem ev ~addr ~bytes:8 ~write:false ~via_hmov:false;
        let b = data_access t ~addr ~bytes:8 ~write:false ~value:0 in
        t.cmp_b <- b;
        t.cmp_a <- rget t d
      | Uop.Ojmp tgt ->
        next := tgt;
-       branch := Some { kind = Uncond; taken = true; target = tgt; fallthrough }
+       note_branch ev Uncond ~taken:true ~target:tgt ~fallthrough
      | Uop.Ojcc { cond; target } ->
        let taken = Instr.eval_cond cond t.cmp_a t.cmp_b in
        if taken then next := target;
-       branch := Some { kind = Cond; taken; target = !next; fallthrough }
+       note_branch ev Cond ~taken ~target:!next ~fallthrough
      | Uop.Ojmp_ind r -> begin
        let a = rget t r in
        match index_of_addr t a with
        | Some i ->
          next := i;
-         branch := Some { kind = Indirect; taken = true; target = i; fallthrough }
+         note_branch ev Indirect ~taken:true ~target:i ~fallthrough
        | None -> raise (Trap_exn (Msr.Hardware_fault a))
      end
      | Uop.Ocall tgt ->
        let rsp = rget t rsp_i - 8 in
        rset t rsp_i rsp;
-       mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
+       note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
        ignore
          (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(addr_of_index t fallthrough));
        next := tgt;
-       branch := Some { kind = Call_k; taken = true; target = tgt; fallthrough }
+       note_branch ev Call_k ~taken:true ~target:tgt ~fallthrough
      | Uop.Ocall_ind r -> begin
        let a = rget t r in
        match index_of_addr t a with
        | Some i ->
          let rsp = rget t rsp_i - 8 in
          rset t rsp_i rsp;
-         mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
+         note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
          ignore
            (data_access t ~addr:rsp ~bytes:8 ~write:true
               ~value:(addr_of_index t fallthrough));
          next := i;
-         branch := Some { kind = Call_k; taken = true; target = i; fallthrough }
+         note_branch ev Call_k ~taken:true ~target:i ~fallthrough
        | None -> raise (Trap_exn (Msr.Hardware_fault a))
      end
      | Uop.Oret -> begin
        let rsp = rget t rsp_i in
-       mem_acc := Some { addr = rsp; bytes = 8; write = false; via_hmov = false };
+       note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
        let ra = data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0 in
        rset t rsp_i (rsp + 8);
        match index_of_addr t ra with
        | Some i ->
          next := i;
-         branch := Some { kind = Ret_k; taken = true; target = i; fallthrough }
+         note_branch ev Ret_k ~taken:true ~target:i ~fallthrough
        | None -> raise (Trap_exn (Msr.Hardware_fault ra))
      end
      | Uop.Opush r ->
        let rsp = rget t rsp_i - 8 in
        rset t rsp_i rsp;
-       mem_acc := Some { addr = rsp; bytes = 8; write = true; via_hmov = false };
+       note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
        ignore (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(rget t r))
      | Uop.Opop r ->
        let rsp = rget t rsp_i in
-       mem_acc := Some { addr = rsp; bytes = 8; write = false; via_hmov = false };
+       note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
        rset t r (data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0);
        rset t rsp_i (rsp + 8)
      | Uop.Osyscall -> begin
@@ -593,7 +639,7 @@ let step_uop t (u : Uop.t) (observe : exec_info -> unit) =
        match Hfi.on_syscall t.hfi ~number with
        | `Allow ->
          let result =
-           Kernel.dispatch t.kernel ~number ~arg0:(rget t rdi_i) ~arg1:(rget t rsi_i)
+           kernel_syscall t ~number ~arg0:(rget t rdi_i) ~arg1:(rget t rsi_i)
              ~arg2:(rget t rdx_i)
          in
          rset t rax_i result
@@ -605,58 +651,36 @@ let step_uop t (u : Uop.t) (observe : exec_info -> unit) =
        end
        | `Fault -> raise (Trap_exn (Msr.Syscall_trap number))
      end
-     | Uop.Ohfi_enter spec -> begin
-       match Hfi.exec_enter t.hfi spec with
-       | Hfi.Continue -> ()
-       | Hfi.Jump a -> begin
-         match index_of_addr t a with
-         | Some i -> next := i
-         | None -> raise (Trap_exn (Msr.Hardware_fault a))
-       end
-       | Hfi.Trap r -> raise (Trap_exn r)
-     end
-     | Uop.Ohfi_exit -> begin
-       match Hfi.exec_exit t.hfi with
-       | Hfi.Continue -> ()
-       | Hfi.Jump a -> begin
-         match index_of_addr t a with
-         | Some i -> next := i
-         | None -> raise (Trap_exn (Msr.Hardware_fault a))
-       end
-       | Hfi.Trap r -> raise (Trap_exn r)
-     end
-     | Uop.Ohfi_reenter -> begin
-       match Hfi.exec_reenter t.hfi with
-       | Hfi.Continue -> begin
-         match t.resume with
-         | Some i ->
-           next := i;
-           t.resume <- None
-         | None -> ()
-       end
-       | Hfi.Jump a -> begin
-         match index_of_addr t a with
-         | Some i -> next := i
-         | None -> raise (Trap_exn (Msr.Hardware_fault a))
-       end
-       | Hfi.Trap r -> raise (Trap_exn r)
-     end
-     | Uop.Ohfi_set_region { slot; region } -> begin
-       match Hfi.exec_set_region t.hfi ~slot region with
-       | Hfi.Continue -> ()
-       | Hfi.Jump _ -> ()
-       | Hfi.Trap reason -> raise (Trap_exn reason)
-     end
-     | Uop.Ohfi_clear_region slot -> begin
-       match Hfi.exec_clear_region t.hfi ~slot with
-       | Hfi.Continue | Hfi.Jump _ -> ()
-       | Hfi.Trap reason -> raise (Trap_exn reason)
-     end
-     | Uop.Ohfi_clear_all -> begin
-       match Hfi.exec_clear_all t.hfi with
-       | Hfi.Continue | Hfi.Jump _ -> ()
-       | Hfi.Trap reason -> raise (Trap_exn reason)
-     end
+     | Uop.Ohfi_enter spec ->
+       let d0 = drains t in
+       let e = Hfi.exec_enter t.hfi spec in
+       note_drain t d0;
+       next := hfi_next t e ~next:!next
+     | Uop.Ohfi_exit ->
+       let d0 = drains t in
+       let e = Hfi.exec_exit t.hfi in
+       note_drain t d0;
+       next := hfi_next t e ~next:!next
+     | Uop.Ohfi_reenter ->
+       let d0 = drains t in
+       let e = Hfi.exec_reenter t.hfi in
+       note_drain t d0;
+       next := hfi_reenter_next t e ~next:!next
+     | Uop.Ohfi_set_region { slot; region } ->
+       let d0 = drains t in
+       let e = Hfi.exec_set_region t.hfi ~slot region in
+       note_drain t d0;
+       hfi_region_effect e
+     | Uop.Ohfi_clear_region slot ->
+       let d0 = drains t in
+       let e = Hfi.exec_clear_region t.hfi ~slot in
+       note_drain t d0;
+       hfi_region_effect e
+     | Uop.Ohfi_clear_all ->
+       let d0 = drains t in
+       let e = Hfi.exec_clear_all t.hfi in
+       note_drain t d0;
+       hfi_region_effect e
      | Uop.Ohfi_get_region { slot; d } -> begin
        match Hfi.exec_get_region t.hfi ~slot with
        | Ok v -> rset t d v
@@ -673,33 +697,10 @@ let step_uop t (u : Uop.t) (observe : exec_info -> unit) =
        t.on_flush (ea_parts t ~mbase ~midx ~mscale ~mdisp)
      | Uop.Omfence | Uop.Onop -> ()
      | Uop.Ohalt -> t.status_ <- Halted
-   with Trap_exn reason -> begin
-     signal := Some reason;
-     t.last_signal <- Some reason;
-     t.last_fault <- Some (Msr.to_fault ~pc:pc_addr ~cycle:t.instr_count reason);
-     match t.signal_handler with
-     | Some h -> next := h
-     | None -> t.status_ <- Faulted reason
-   end);
-  let drains = (Hfi.stats t.hfi).Hfi.drains - drains0 in
-  let serializing = drains > 0 || u.Uop.base_serializing in
-  (* Same boxed-cycles fast path as [step]. *)
-  let kcycles1 = Kernel.cycles t.kernel in
-  let info =
-    {
-      index;
-      instr = u.Uop.instr;
-      uop = u;
-      mem = !mem_acc;
-      branch = !branch;
-      serializing;
-      kernel_cycles = (if kcycles1 = kcycles0 then 0.0 else kcycles1 -. kcycles0);
-      signal = !signal;
-    }
-  in
+   with Trap_exn reason -> next := deliver t ~pc_addr ~next:!next reason);
   (match t.status_ with Running -> t.pc <- !next | Halted | Faulted _ -> ());
-  if !Hfi_obs.Obs.trace_enabled then trace_commit t info;
-  observe info;
+  if !Hfi_obs.Obs.trace_enabled then trace_commit t u;
+  observe u ev;
   t.status_
 
 (* Basic-block dispatch: fetch the block extent once, then run straight-
@@ -770,8 +771,8 @@ type spec_effects = {
 
    Runs on the µop form: mispredicts spawn up to a full ROB window of
    wrong-path instructions, so this loop is as hot as the committed
-   path. Module-level helpers over the shadow array (not closures) keep
-   it allocation-free after the register copy. *)
+   path. Module-level helpers over the machine's one shadow array (not
+   closures) keep it allocation-free. *)
 
 let[@inline] sget (sregs : int array) i = Array.unsafe_get sregs i
 let[@inline] sset (sregs : int array) i v = Array.unsafe_set sregs i v
@@ -794,7 +795,8 @@ let spec_check_data t ~on ~addr ~bytes acc =
   end
 
 let speculate t ~start ~fuel effects =
-  let sregs = Array.copy t.regs in
+  let sregs = t.shadow in
+  Array.blit t.regs 0 sregs 0 (Array.length sregs);
   let uops = t.uops in
   let len = Array.length uops in
   let scmp_a = ref t.cmp_a and scmp_b = ref t.cmp_b in
@@ -832,17 +834,18 @@ let speculate t ~start ~fuel effects =
         let addr = sea sregs ~mbase ~midx ~mscale ~mdisp in
         (* Stores sit in the store buffer; no cache update pre-commit. *)
         if not (spec_check_data t ~on:!hfi_on ~addr ~bytes:1 `Write) then stop := true
-      | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } -> begin
+      | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } ->
         let index_value = if midx >= 0 then sget sregs midx else 0 in
-        match
-          Hfi.check_hmov t.hfi ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes
+        (* the allocation-free check: -1 exactly when [check_hmov] fails *)
+        let addr =
+          Hfi.check_hmov_ea t.hfi ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes
             ~write:false
-        with
-        | Ok addr when mem_ok t addr ->
+        in
+        if addr >= 0 && mem_ok t addr then begin
           effects.spec_mem ~addr ~write:false;
           sset sregs d (Addr_space.peek t.mem_ ~addr ~bytes)
-        | Ok _ | Error _ -> stop := true
-      end
+        end
+        else stop := true
       | Uop.Ohstore _ -> ()
       | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
         sset sregs d (sea sregs ~mbase ~midx ~mscale ~mdisp)

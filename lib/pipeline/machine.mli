@@ -5,7 +5,7 @@
     HFI checks through {!Hfi_core.Hfi}, syscalls through
     {!Hfi_memory.Kernel} — and *no* notion of time. The two timing engines
     ({!Fast_engine} and {!Cycle_engine}) drive it and convert the
-    per-instruction {!exec_info} events into cycles.
+    per-instruction {!event}s into cycles.
 
     Branch targets are instruction indices; the code is modeled as loaded
     at [code_base], and stack/handler addresses are byte addresses mapped
@@ -20,26 +20,48 @@ val alu : Instr.alu_op -> int -> int -> int
     division by zero traps at runtime, so callers must guard it. *)
 
 type access = { addr : int; bytes : int; write : bool; via_hmov : bool }
+(** A committed data access, as copied out of an {!event} by {!access}. *)
 
-type branch_kind = Cond | Uncond | Indirect | Call_k | Ret_k
+type branch_kind =
+  | No_branch  (** not a control transfer; the branch fields are stale *)
+  | Cond
+  | Uncond
+  | Indirect
+  | Call_k
+  | Ret_k
 
-type branch_info = {
-  kind : branch_kind;
-  taken : bool;
-  target : int;  (** instruction index actually transferred to *)
-  fallthrough : int;  (** index of the next sequential instruction *)
+(** What one committed instruction did — the functional core's output
+    that the timing engines consume.
+
+    Each machine owns a single event slot, which every step overwrites
+    in place before calling the observer, so stepping allocates nothing
+    for it. The slot is valid only during the callback: an observer that
+    keeps anything past it must copy the fields it needs (see {!access}).
+    Every mutable field is an int, a bool or a constant constructor,
+    and kernel time sits unboxed in a one-element float array. The
+    executed instruction itself is the {!Uop.t} passed alongside (its
+    [index] and [instr]). *)
+type event = {
+  mutable has_mem : bool;  (** a data access happened; the [mem_*] fields describe it *)
+  mutable mem_addr : int;
+  mutable mem_bytes : int;
+  mutable mem_write : bool;
+  mutable mem_hmov : bool;  (** the access went through an [hmov] *)
+  mutable branch : branch_kind;
+  mutable taken : bool;
+  mutable target : int;  (** instruction index actually transferred to *)
+  mutable fallthrough : int;  (** index of the next sequential instruction *)
+  mutable serializing : bool;  (** pipeline drain required (cpuid/mfence/HFI) *)
+  kernel_cycles : float array;
+      (** one element: kernel time consumed by this instruction, unboxed *)
+  mutable signalled : bool;
+      (** a trap was delivered to the signal handler; the reason is
+          {!last_signal} *)
 }
 
-type exec_info = {
-  index : int;  (** index of the instruction that just executed *)
-  instr : Instr.t;
-  uop : Uop.t;  (** pre-decoded form of [instr] (cost metadata) *)
-  mem : access option;
-  branch : branch_info option;
-  serializing : bool;  (** pipeline drain required (cpuid/mfence/HFI) *)
-  kernel_cycles : float;  (** kernel time consumed by this instruction *)
-  signal : Msr.t option;  (** a trap was delivered to the signal handler *)
-}
+val access : event -> access option
+(** Copy the event's data access out of the slot ([None] if it made
+    none), for observers that keep it past the callback. *)
 
 val decode_dispatch : bool ref
 (** When true (default; [HFI_DECODE_CACHE=0] flips it at startup), [run]
@@ -102,9 +124,10 @@ val index_of_addr : t -> int -> int option
 val effective_address : t -> Instr.mem -> int
 (** Evaluate a memory operand against the current register file. *)
 
-val run : ?fuel:int -> t -> (exec_info -> unit) -> status
+val run : ?fuel:int -> t -> (Uop.t -> event -> unit) -> status
 (** Step until [Halted], [Faulted], or [fuel] instructions, calling the
-    callback once per committed instruction before the next one starts.
+    callback with the committed µop and the machine's event slot once
+    per committed instruction, before the next one starts.
     No-op when already halted or faulted; an out-of-range pc faults.
     Dispatches per {!decode_dispatch}; both paths observe identical
     events, and a run resumed in [fuel]-sized slices observes the same

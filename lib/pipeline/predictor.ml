@@ -4,8 +4,8 @@ let default_config = { pht_bits = 12; btb_entries = 512; ras_depth = 16 }
 
 type t = {
   cfg : config;
-  btb_mask : int;  (* land replacement for [mod btb_entries]; -1 if not a power of two *)
-  ras_mask : int;  (* likewise for [mod ras_depth] *)
+  btb_mask : int;  (* btb_entries - 1: a power of two, so [land] indexes *)
+  ras_mask : int;  (* ras_depth - 1 *)
   pht : int array;  (* 2-bit saturating counters *)
   mutable history : int;
   btb_tags : int array;
@@ -18,13 +18,15 @@ type t = {
   mutable ind_miss : int;
 }
 
-let pow2_mask n = if n > 0 && n land (n - 1) = 0 then n - 1 else -1
+let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let create ?(config = default_config) () =
+  if not (is_pow2 config.btb_entries && is_pow2 config.ras_depth) then
+    invalid_arg "Predictor.create: btb_entries and ras_depth must be powers of two";
   {
     cfg = config;
-    btb_mask = pow2_mask config.btb_entries;
-    ras_mask = pow2_mask config.ras_depth;
+    btb_mask = config.btb_entries - 1;
+    ras_mask = config.ras_depth - 1;
     pht = Array.make (1 lsl config.pht_bits) 1 (* weakly not-taken *);
     history = 0;
     btb_tags = Array.make config.btb_entries (-1);
@@ -51,15 +53,15 @@ let update_cond t ~pc ~taken =
   t.pht.(i) <- (if taken then Stdlib.min 3 (c + 1) else Stdlib.max 0 (c - 1));
   t.history <- ((t.history lsl 1) lor if taken then 1 else 0) land ((1 lsl t.cfg.pht_bits) - 1)
 
-(* Index math avoids the divide when the geometry is a power of two —
-   these run on every simulated branch/call/return. *)
-let btb_index t ~pc = if t.btb_mask >= 0 then pc land t.btb_mask else pc mod t.cfg.btb_entries
-let ras_slot t i = if t.ras_mask >= 0 then i land t.ras_mask else i mod t.cfg.ras_depth
+(* Power-of-two geometry (checked at [create]): these run on every
+   simulated branch/call/return, so index math is a mask, not a divide. *)
+let btb_index t ~pc = pc land t.btb_mask
+let ras_slot t i = i land t.ras_mask
 
 let predict_indirect t ~pc =
   t.ind_lookups <- t.ind_lookups + 1;
   let i = btb_index t ~pc in
-  if t.btb_tags.(i) = pc then Some t.btb_targets.(i) else None
+  if t.btb_tags.(i) = pc then t.btb_targets.(i) else -1
 
 let update_indirect t ~pc ~target =
   let i = btb_index t ~pc in
@@ -72,10 +74,10 @@ let push_ras t v =
 
 let pop_ras t =
   t.ind_lookups <- t.ind_lookups + 1;
-  if t.ras_top = 0 then None
+  if t.ras_top = 0 then -1
   else begin
     t.ras_top <- t.ras_top - 1;
-    Some t.ras.(ras_slot t t.ras_top)
+    t.ras.(ras_slot t t.ras_top)
   end
 
 (* Back to the post-[create] state without reallocating the tables. *)

@@ -15,6 +15,8 @@ type config = {
 val default_config : config
 
 val create : ?config:config -> unit -> t
+(** Raises [Invalid_argument] unless [btb_entries] and [ras_depth] are
+    powers of two. *)
 
 val predict_cond : t -> pc:int -> bool
 (** Taken/not-taken prediction for the conditional branch at [pc]. *)
@@ -22,13 +24,15 @@ val predict_cond : t -> pc:int -> bool
 val update_cond : t -> pc:int -> taken:bool -> unit
 (** Train the PHT and shift the global history. *)
 
-val predict_indirect : t -> pc:int -> int option
-(** BTB lookup; [None] on a tag miss. *)
+val predict_indirect : t -> pc:int -> int
+(** BTB lookup: the predicted target index, or -1 on a tag miss.
+    Targets are instruction indices, so never negative. *)
 
 val update_indirect : t -> pc:int -> target:int -> unit
 
 val push_ras : t -> int -> unit
-val pop_ras : t -> int option
+val pop_ras : t -> int
+(** The predicted return index, or -1 when the stack is empty. *)
 
 val reset : t -> unit
 (** Return to the post-[create] state (PHT weakly not-taken, BTB and RAS

@@ -29,24 +29,26 @@ let trace ?(limit = 200) m =
     let before = Array.copy (Machine.regs m) in
     let recorded = ref None in
     (match
-       Machine.run ~fuel:1 m (fun info ->
+       Machine.run ~fuel:1 m (fun u ev ->
            incr seq;
+           let instr = u.Uop.instr in
            let writes =
              List.filter_map
                (fun r ->
                  let v = Machine.get_reg m r in
                  if v <> before.(Reg.index r) then Some (r, v) else None)
-               (Instr.writes info.Machine.instr)
+               (Instr.writes instr)
            in
+           (* copied out: the event slot is reused by the next step *)
            recorded :=
              Some
                {
                  seq = !seq;
-                 index = info.Machine.index;
-                 disasm = Instr.to_string info.Machine.instr;
+                 index = u.Uop.index;
+                 disasm = Instr.to_string instr;
                  reg_writes = writes;
-                 mem = info.Machine.mem;
-                 signal = info.Machine.signal;
+                 mem = Machine.access ev;
+                 signal = (if ev.Machine.signalled then Machine.last_signal m else None);
                })
      with
     | Machine.Running -> ()

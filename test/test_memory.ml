@@ -155,6 +155,16 @@ let test_cache_lru_eviction () =
   check_bool "128 evicted" false (Cache.probe c 128);
   check_bool "256 present" true (Cache.probe c 256)
 
+(* Index math is a shift and a mask, so only power-of-two geometry is
+   admitted. *)
+let test_cache_rejects_non_pow2_line () =
+  let cfg =
+    { Cache.size_bytes = 48 * 64; ways = 4; line_bytes = 48; hit_latency = 1; miss_latency = 10 }
+  in
+  match Cache.create cfg with
+  | _ -> Alcotest.fail "a 48-byte line was accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_cache_flush () =
   let c = Cache.create Cache.skylake_l1d in
   ignore (Cache.access c 0x2000);
@@ -270,6 +280,8 @@ let suite =
     Alcotest.test_case "blit/read string" `Quick test_blit_and_read_string;
     Alcotest.test_case "cache hit after miss" `Quick test_cache_hit_after_miss;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
+    Alcotest.test_case "cache rejects a non-power-of-two line" `Quick
+      test_cache_rejects_non_pow2_line;
     Alcotest.test_case "cache flush" `Quick test_cache_flush;
     Alcotest.test_case "cache latencies" `Quick test_cache_latency;
     Alcotest.test_case "tlb" `Quick test_tlb;

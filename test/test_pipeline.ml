@@ -331,17 +331,17 @@ let test_predictor_learns_loop () =
 
 let test_predictor_btb () =
   let p = Predictor.create () in
-  check_bool "cold miss" true (Predictor.predict_indirect p ~pc:7 = None);
+  check_bool "cold miss" true (Predictor.predict_indirect p ~pc:7 = -1);
   Predictor.update_indirect p ~pc:7 ~target:42;
-  check_bool "trained" true (Predictor.predict_indirect p ~pc:7 = Some 42)
+  check_bool "trained" true (Predictor.predict_indirect p ~pc:7 = 42)
 
 let test_predictor_ras () =
   let p = Predictor.create () in
   Predictor.push_ras p 10;
   Predictor.push_ras p 20;
-  check_bool "lifo" true (Predictor.pop_ras p = Some 20);
-  check_bool "lifo2" true (Predictor.pop_ras p = Some 10);
-  check_bool "empty" true (Predictor.pop_ras p = None)
+  check_bool "lifo" true (Predictor.pop_ras p = 20);
+  check_bool "lifo2" true (Predictor.pop_ras p = 10);
+  check_bool "empty" true (Predictor.pop_ras p = -1)
 
 let test_tracer () =
   let open Instr in

@@ -482,9 +482,9 @@ let prop_multibyte_store_matches_bytewise =
       | _ -> false)
 
 let prop_load_after_remap_sees_new_mapping =
-  (* The one-entry VMA memo and page cache must be invalidated by every
-     mapping mutation: exercise load / munmap / load and load / mprotect
-     / load sequences at the same address. *)
+  (* The page/permission table must be cleared by every mapping
+     mutation: exercise load / munmap / load and load / mprotect / load
+     sequences at the same address. *)
   QCheck.Test.make ~name:"fast-path caches invalidated by munmap/mprotect/madvise" ~count:200
     (QCheck.make QCheck.Gen.(oneofl [ `Munmap; `Mprotect_ro; `Madvise ]))
     (fun mutation ->
@@ -512,6 +512,172 @@ let prop_load_after_remap_sees_new_mapping =
           Addr_space.madvise_dontneed mem ~addr:mb_base ~len:page;
           Addr_space.load mem ~addr ~bytes:8 = 0
       end)
+
+(* --- Direct-mapped page table vs direct VMA/page lookups --- *)
+
+(* Pages chosen so several share a table slot: the table has 256 slots
+   indexed by page number, so pages n, n+256 and n+512 collide. *)
+let pt_base_page = 0x40000
+let pt_pages = [ 0; 1; 2; 255; 256; 257; 258; 512; 513 ]
+
+type pt_op =
+  | Pt_mmap of int * int * Perm.t  (* page offset, pages, perm *)
+  | Pt_munmap of int * int
+  | Pt_mprotect of int * int * Perm.t
+  | Pt_madvise of int * int
+  | Pt_load of int * int  (* address, width *)
+  | Pt_store of int * int * int
+  | Pt_peek of int * int
+  | Pt_perm_at of int
+
+let pt_addr k off = ((pt_base_page + k) * page) + off
+
+let gen_pt_op =
+  let open QCheck.Gen in
+  let k = oneofl pt_pages in
+  let range = pair k (int_range 1 2) in
+  let perm = oneofl [ Perm.none; Perm.r; Perm.rw ] in
+  (* offsets near both page ends, so wide accesses straddle pages *)
+  let addr =
+    map2 pt_addr k (oneof [ oneofl [ 0; 8; page - 8; page - 4; page - 3; page - 1 ]; int_bound (page - 1) ])
+  in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  frequency
+    [
+      (3, map2 (fun (k, n) p -> Pt_mmap (k, n, p)) range perm);
+      (1, map (fun (k, n) -> Pt_munmap (k, n)) range);
+      (1, map2 (fun (k, n) p -> Pt_mprotect (k, n, p)) range perm);
+      (1, map (fun (k, n) -> Pt_madvise (k, n)) range);
+      (4, map2 (fun a w -> Pt_load (a, w)) addr width);
+      (4, map3 (fun a w v -> Pt_store (a, w, v)) addr width (int_bound 0xffff_ffff));
+      (2, map2 (fun a w -> Pt_peek (a, w)) addr width);
+      (2, map (fun a -> Pt_perm_at a) addr);
+    ]
+
+type pt_result =
+  | R_ok
+  | R_value of int
+  | R_perm of Perm.t option
+  | R_fault of int * [ `Read | `Write | `Exec ] * [ `Unmapped | `Protection ]
+
+(* Reference: protection per page (the VMA map, page-granular) and the
+   resident pages in a hashtable, consulted directly on every access. *)
+type pt_ref = { vma : (int, Perm.t) Hashtbl.t; data : (int, Bytes.t) Hashtbl.t }
+
+let pt_ref_apply r op =
+  let pg a = a lsr 12 in
+  let each k n f =
+    for p = pt_base_page + k to pt_base_page + k + n - 1 do
+      f p
+    done
+  in
+  let check a access =
+    match Hashtbl.find_opt r.vma (pg a) with
+    | None -> Some (R_fault (a, access, `Unmapped))
+    | Some p when not (Perm.allows p access) -> Some (R_fault (a, access, `Protection))
+    | Some _ -> None
+  in
+  (* the first byte's page, then the last byte's when it differs *)
+  let check_range a w access =
+    match check a access with
+    | Some f -> Some f
+    | None -> if pg (a + w - 1) <> pg a then check (a + w - 1) access else None
+  in
+  let read a w =
+    let v = ref 0 in
+    for i = w - 1 downto 0 do
+      let b = a + i in
+      let byte =
+        match Hashtbl.find_opt r.data (pg b) with
+        | Some d -> Char.code (Bytes.get d (b land (page - 1)))
+        | None -> 0
+      in
+      v := (!v lsl 8) lor byte
+    done;
+    !v
+  in
+  match op with
+  | Pt_mmap (k, n, p) ->
+    each k n (fun q ->
+        Hashtbl.replace r.vma q p;
+        Hashtbl.remove r.data q);
+    R_ok
+  | Pt_munmap (k, n) ->
+    each k n (fun q ->
+        Hashtbl.remove r.vma q;
+        Hashtbl.remove r.data q);
+    R_ok
+  | Pt_mprotect (k, n, p) ->
+    let covered = ref true in
+    each k n (fun q -> if not (Hashtbl.mem r.vma q) then covered := false);
+    if not !covered then R_fault (pt_addr k 0, `Write, `Unmapped)
+    else begin
+      each k n (fun q -> Hashtbl.replace r.vma q p);
+      R_ok
+    end
+  | Pt_madvise (k, n) ->
+    each k n (Hashtbl.remove r.data);
+    R_ok
+  | Pt_load (a, w) -> (
+    match check_range a w `Read with Some f -> f | None -> R_value (read a w))
+  | Pt_store (a, w, v) -> (
+    match check_range a w `Write with
+    | Some f -> f
+    | None ->
+      for i = 0 to w - 1 do
+        let b = a + i in
+        let d =
+          match Hashtbl.find_opt r.data (pg b) with
+          | Some d -> d
+          | None ->
+            let d = Bytes.make page '\000' in
+            Hashtbl.replace r.data (pg b) d;
+            d
+        in
+        Bytes.set d (b land (page - 1)) (Char.chr ((v lsr (8 * i)) land 0xff))
+      done;
+      R_ok)
+  | Pt_peek (a, w) ->
+    if Hashtbl.mem r.vma (pg a) then R_value (read a w) else R_fault (a, `Read, `Unmapped)
+  | Pt_perm_at a -> R_perm (Hashtbl.find_opt r.vma (pg a))
+
+let pt_real_apply mem op =
+  let span k n = (pt_addr k 0, n * page) in
+  try
+    match op with
+    | Pt_mmap (k, n, p) ->
+      let addr, len = span k n in
+      Addr_space.mmap mem ~addr ~len p;
+      R_ok
+    | Pt_munmap (k, n) ->
+      let addr, len = span k n in
+      Addr_space.munmap mem ~addr ~len;
+      R_ok
+    | Pt_mprotect (k, n, p) ->
+      let addr, len = span k n in
+      Addr_space.mprotect mem ~addr ~len p;
+      R_ok
+    | Pt_madvise (k, n) ->
+      let addr, len = span k n in
+      Addr_space.madvise_dontneed mem ~addr ~len;
+      R_ok
+    | Pt_load (a, w) -> R_value (Addr_space.load mem ~addr:a ~bytes:w)
+    | Pt_store (a, w, v) ->
+      Addr_space.store mem ~addr:a ~bytes:w v;
+      R_ok
+    | Pt_peek (a, w) -> R_value (Addr_space.peek mem ~addr:a ~bytes:w)
+    | Pt_perm_at a -> R_perm (Addr_space.perm_at mem a)
+  with Addr_space.Fault f -> R_fault (f.addr, f.access, f.reason)
+
+let prop_page_table_matches_direct_lookups =
+  QCheck.Test.make ~name:"page table agrees with direct VMA/page lookups (colliding slots)"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 20 120) gen_pt_op))
+    (fun ops ->
+      let mem = Addr_space.create () in
+      let r = { vma = Hashtbl.create 16; data = Hashtbl.create 16 } in
+      List.for_all (fun op -> pt_ref_apply r op = pt_real_apply mem op) ops
+      && Addr_space.resident_bytes mem = Hashtbl.length r.data * page)
 
 (* --- Relational verifier domain: soundness of join and widening --- *)
 
@@ -684,6 +850,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_multibyte_load_matches_bytewise;
     QCheck_alcotest.to_alcotest prop_multibyte_store_matches_bytewise;
     QCheck_alcotest.to_alcotest prop_load_after_remap_sees_new_mapping;
+    QCheck_alcotest.to_alcotest prop_page_table_matches_direct_lookups;
     QCheck_alcotest.to_alcotest prop_cache_matches_lru_reference;
     QCheck_alcotest.to_alcotest prop_prng_int_in_range;
     QCheck_alcotest.to_alcotest prop_percentile_monotonic;

@@ -98,31 +98,31 @@ let test_static_successors_agree () =
       let m = Instance.machine inst in
       let prog = Instance.program inst in
       let uops = Uop.decode prog ~code_base:(Machine.code_base m) in
-      let prev = ref None in
-      let observe (info : Machine.exec_info) =
-        let j = info.Machine.index in
-        (match !prev with
-        | Some (p : Machine.exec_info) when p.Machine.signal = None ->
-          let i = p.Machine.index in
-          (match Uop.flow_of uops.(i) with
-          | Uop.Indirect_jump | Uop.Indirect_call | Uop.Return ->
-            check_bool
-              (Printf.sprintf "%s: #%d indirect/ret lands on a block head" name i)
-              true (Uop.is_block_head uops j)
-          | Uop.Stop -> Alcotest.failf "%s: executed past halt at #%d" name i
-          | _ ->
-            check_bool
-              (Printf.sprintf "%s: #%d -> #%d statically predicted" name i j)
-              true
-              (List.mem j (Uop.static_successors uops i)))
-        | _ -> ());
-        (* a delivered signal redirects control to the handler: the next
-           transition is the kernel's, not the program's *)
-        prev := Some info;
+      (* previous committed instruction, or -1 at the start and after a
+         delivered signal: that transition is the kernel's, not the
+         program's *)
+      let prev = ref (-1) in
+      (* one event per executed instruction: fail on a mismatch only, so
+         the log stays small *)
+      let check what ok = if not ok then Alcotest.failf "%s" (what ()) in
+      let observe (u : Uop.t) (ev : Machine.event) =
+        let j = u.Uop.index in
+        (if !prev >= 0 then
+           let i = !prev in
+           match Uop.flow_of uops.(i) with
+           | Uop.Indirect_jump | Uop.Indirect_call | Uop.Return ->
+             check
+               (fun () -> Printf.sprintf "%s: #%d indirect/ret lands on a block head" name i)
+               (Uop.is_block_head uops j)
+           | Uop.Stop -> Alcotest.failf "%s: executed past halt at #%d" name i
+           | _ ->
+             check
+               (fun () -> Printf.sprintf "%s: #%d -> #%d statically predicted" name i j)
+               (List.mem j (Uop.static_successors uops i)));
+        prev := if ev.Machine.signalled then -1 else j;
         let h = Uop.block_head uops j in
-        check_bool
-          (Printf.sprintf "%s: #%d head #%d is a head at or before it" name j h)
-          true
+        check
+          (fun () -> Printf.sprintf "%s: #%d head #%d is a head at or before it" name j h)
           (h <= j && Uop.is_block_head uops h && uops.(h).Uop.block_last >= j)
       in
       match Machine.run ~fuel:30_000_000 m observe with
@@ -236,15 +236,43 @@ let test_fuzz_differential () =
       [ Uop_dispatch ]
   done
 
-(* Two committed events agree; the static [instr]/[uop] fields follow
-   from [index]. *)
-let same_event (a : Machine.exec_info) (b : Machine.exec_info) =
-  a.Machine.index = b.Machine.index
-  && a.Machine.mem = b.Machine.mem
-  && a.Machine.branch = b.Machine.branch
-  && a.Machine.serializing = b.Machine.serializing
-  && Float.equal a.Machine.kernel_cycles b.Machine.kernel_cycles
-  && a.Machine.signal = b.Machine.signal
+(* A committed event copied out of the machine's slot (which the next
+   step overwrites); the static µop fields follow from [index]. *)
+type event_copy = {
+  index : int;
+  mem : Machine.access option;
+  branch : Machine.branch_kind;
+  taken : bool;
+  target : int;
+  fallthrough : int;
+  serializing : bool;
+  kernel_cycles : float;
+  signal : Hfi_core.Msr.t option;
+}
+
+let copy_event m (u : Uop.t) (ev : Machine.event) =
+  {
+    index = u.Uop.index;
+    mem = Machine.access ev;
+    branch = ev.Machine.branch;
+    taken = ev.Machine.taken;
+    target = ev.Machine.target;
+    fallthrough = ev.Machine.fallthrough;
+    serializing = ev.Machine.serializing;
+    kernel_cycles = ev.Machine.kernel_cycles.(0);
+    signal = (if ev.Machine.signalled then Machine.last_signal m else None);
+  }
+
+(* Two committed events agree; branch fields count only on a branch. *)
+let same_event a b =
+  a.index = b.index
+  && a.mem = b.mem
+  && a.branch = b.branch
+  && (a.branch = Machine.No_branch
+     || (a.taken = b.taken && a.target = b.target && a.fallthrough = b.fallthrough))
+  && a.serializing = b.serializing
+  && Float.equal a.kernel_cycles b.kernel_cycles
+  && a.signal = b.signal
 
 let final_state m = (Array.copy (Machine.regs m), Machine.status m, Machine.instr_count m)
 
@@ -263,7 +291,7 @@ let test_fuel_sliced_resume () =
             with_tier Ast (fun () ->
                 let m = fresh () in
                 let evs = ref [] in
-                ignore (Machine.run m (fun i -> evs := i :: !evs));
+                ignore (Machine.run m (fun u ev -> evs := copy_event m u ev :: !evs));
                 (Array.of_list (List.rev !evs), final_state m))
           in
           let n = Array.length reference in
@@ -273,9 +301,9 @@ let test_fuel_sliced_resume () =
               with_tier Uop_dispatch (fun () ->
                   let m = fresh () in
                   let seen = ref 0 in
-                  let observe i =
+                  let observe u ev =
                     if !seen >= n then Alcotest.failf "%s: ran past the reference" id;
-                    if not (same_event i reference.(!seen)) then
+                    if not (same_event (copy_event m u ev) reference.(!seen)) then
                       Alcotest.failf "%s: event #%d differs" id !seen;
                     incr seen
                   in
