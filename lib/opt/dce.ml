@@ -14,6 +14,20 @@ let deletable (u : Uop.t) =
 
 let max_rounds = 8
 
+(* One round: mark every live instruction that is deletable and whose
+   destination is dead after it under [live]; returns how many. *)
+let sweep (uops : Uop.t array) (live : Liveness.t) dead =
+  let count = ref 0 in
+  for i = 0 to Array.length uops - 1 do
+    let u = uops.(i) in
+    if (not dead.(i)) && deletable u && Array.length u.Uop.writes = 1 then
+      if not (Liveness.is_live live.Liveness.live_out.(i) u.Uop.writes.(0)) then begin
+        dead.(i) <- true;
+        incr count
+      end
+  done;
+  !count
+
 (* Rounds over one decode: deleting a use can kill its feeder (movi
    chains), so each round re-solves liveness with the deletions so far
    masked out, up to [max_rounds]. A deletion only lets branch targets
@@ -22,22 +36,13 @@ let max_rounds = 8
    the end lays out every round's deletions at once. *)
 let run_fix ~code_base prog =
   let uops = Uop.decode prog ~code_base in
-  let cfg = Cfg.build uops in
+  let live_p = Liveness.prepare uops (Cfg.build uops) in
   let dead = Array.make (Array.length uops) false in
   let rec go total round =
     if round >= max_rounds then total
     else begin
-      let live = Liveness.compute ~dead uops cfg in
-      let count = ref 0 in
-      Array.iteri
-        (fun i (u : Uop.t) ->
-          if (not dead.(i)) && deletable u && Array.length u.Uop.writes = 1 then
-            if not (Liveness.is_live live.Liveness.live_out.(i) u.Uop.writes.(0)) then begin
-              dead.(i) <- true;
-              incr count
-            end)
-        uops;
-      if !count = 0 then total else go (total + !count) (round + 1)
+      let count = sweep uops (Liveness.solve ~dead live_p) dead in
+      if count = 0 then total else go (total + count) (round + 1)
     end
   in
   let total = go 0 0 in

@@ -14,20 +14,38 @@ let masked ~base ~mask =
     let mask = mask land lnot base in
     if mask = 0 then const base else Masked { base; mask }
 
-let is_bot d = d = Bot
-let equal (a : t) (b : t) = a = b
+let is_bot = function Bot -> true | Itv _ | Masked _ | Stackish -> false
 
-let singleton = function
-  | Itv { lo; hi } when lo = hi -> Some lo
-  | Masked { base; mask } when mask = 0 -> Some base
-  | _ -> None
+let equal (a : t) (b : t) =
+  a == b
+  ||
+  match (a, b) with
+  | Itv x, Itv y -> x.lo = y.lo && x.hi = y.hi
+  | Masked x, Masked y -> x.base = y.base && x.mask = y.mask
+  | Bot, Bot | Stackish, Stackish -> true
+  | (Bot | Itv _ | Masked _ | Stackish), _ -> false
 
-let bounds = function
-  | Bot | Stackish -> None
-  | Itv { lo; hi } -> Some (lo, hi)
-  (* base and mask have disjoint bits, so base + mask = base lor mask:
-     never overflows *)
-  | Masked { base; mask } -> Some (base, base + mask)
+(* Allocation-free views of the concretization hull and the singleton
+   value. [lower]/[upper] are only meaningful under [has_bounds]. *)
+
+let has_bounds = function Itv _ | Masked _ -> true | Bot | Stackish -> false
+
+let lower = function
+  | Itv { lo; _ } -> lo
+  | Masked { base; _ } -> base
+  | Bot | Stackish -> invalid_arg "Domain.lower"
+
+(* base and mask have disjoint bits, so base + mask = base lor mask:
+   never overflows *)
+let upper = function
+  | Itv { hi; _ } -> hi
+  | Masked { base; mask } -> base + mask
+  | Bot | Stackish -> invalid_arg "Domain.upper"
+
+let is_singleton = function
+  | Itv { lo; hi } -> lo = hi
+  | Masked { mask; _ } -> mask = 0
+  | Bot | Stackish -> false
 
 let sat_add a b =
   let s = a + b in
@@ -38,22 +56,34 @@ let sat_add a b =
 let sat_neg a = if a = min_int then max_int else -a
 let sat_sub a b = sat_add a (sat_neg b)
 
-let hull a b =
-  match (bounds a, bounds b) with
-  | Some (l1, h1), Some (l2, h2) -> Itv { lo = min l1 l2; hi = max h1 h2 }
-  | _ -> top
+let is_top = function Itv { lo; hi } -> lo = min_int && hi = max_int | _ -> false
+
+(* [Itv { lo; hi }], reusing [a] or [b] when one of them already is
+   exactly that interval *)
+let itv_reuse a b lo hi =
+  match (a, b) with
+  | Itv x, _ when x.lo = lo && x.hi = hi -> a
+  | _, Itv y when y.lo = lo && y.hi = hi -> b
+  | _ -> Itv { lo; hi }
+
+(* interval hull of two values that both have bounds *)
+let hull a b = itv_reuse a b (Int.min (lower a) (lower b)) (Int.max (upper a) (upper b))
 
 let join a b =
   match (a, b) with
   | Bot, x | x, Bot -> x
   | Stackish, Stackish -> Stackish
-  | Stackish, _ | _, Stackish -> top
+  | Stackish, x | x, Stackish -> if is_top x then x else top
   | Masked m1, Masked m2 ->
     (* a bit is certain iff certain on both sides with the same value;
        disagreeing certain bits become possible *)
     let base = m1.base land m2.base in
     let mask = m1.mask lor m2.mask lor (m1.base lxor m2.base) in
-    masked ~base ~mask
+    (* a normal-form side that already covers the other is the join *)
+    let normal = base land mask = 0 && base >= 0 && mask > 0 in
+    if normal && base = m1.base && mask = m1.mask then a
+    else if normal && base = m2.base && mask = m2.mask then b
+    else masked ~base ~mask
   | _ -> hull a b
 
 let widen old next =
@@ -61,142 +91,154 @@ let widen old next =
   | Itv a, Itv b ->
     let lo = if b.lo < a.lo then min_int else a.lo in
     let hi = if b.hi > a.hi then max_int else a.hi in
-    Itv { lo; hi }
+    if lo = a.lo && hi = a.hi then old else Itv { lo; hi }
   | _ -> join old next
 
 let meet_itv d ~lo ~hi =
   match d with
   | Bot -> Bot
   | Stackish -> Stackish
-  | Itv { lo = l; hi = h } -> itv (max l lo) (min h hi)
+  | Itv { lo = l; hi = h } ->
+    let lo = Int.max l lo and hi = Int.min h hi in
+    if lo = l && hi = h && lo <= hi then d else itv lo hi
   | Masked { base; mask } ->
-    if base >= lo && base + mask <= hi then d else itv (max base lo) (min (base + mask) hi)
+    if base >= lo && base + mask <= hi then d else itv (Int.max base lo) (Int.min (base + mask) hi)
 
-let within d ~lo ~hi =
-  match bounds d with Some (l, h) -> l >= lo && h <= hi | None -> d = Bot
-
-let disjoint d ~lo ~hi =
-  match bounds d with Some (l, h) -> h < lo || l > hi | None -> d = Bot
+let within d ~lo ~hi = if has_bounds d then lower d >= lo && upper d <= hi else is_bot d
+let disjoint d ~lo ~hi = if has_bounds d then upper d < lo || lower d > hi else is_bot d
 
 let add a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
   | Stackish, Stackish -> top
-  | Stackish, x | x, Stackish -> if singleton x <> None then Stackish else top
-  | _ -> (
-    match (bounds a, bounds b) with
-    | Some (l1, h1), Some (l2, h2) -> itv (sat_add l1 l2) (sat_add h1 h2)
-    | _ -> top)
+  | Stackish, x | x, Stackish -> if is_singleton x then Stackish else top
+  | _ ->
+    let lo = sat_add (lower a) (lower b) and hi = sat_add (upper a) (upper b) in
+    if lo > hi then Bot else itv_reuse a b lo hi
 
 let sub a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | Stackish, x when singleton x <> None -> Stackish
+  | Stackish, x when is_singleton x -> Stackish
   | Stackish, _ | _, Stackish -> top
-  | _ -> (
-    match (bounds a, bounds b) with
-    | Some (l1, h1), Some (l2, h2) -> itv (sat_sub l1 h2) (sat_sub h1 l2)
-    | _ -> top)
+  | _ ->
+    let lo = sat_sub (lower a) (upper b) and hi = sat_sub (upper a) (lower b) in
+    if lo > hi then Bot else itv_reuse a b lo hi
 
-(* Bitset view of a value: [Some (certain, possible-but-uncertain)]
-   with disjoint components, both non-negative. *)
-let to_bits = function
-  | Masked { base; mask } -> Some (base, mask)
-  | Itv { lo; hi } when lo = hi && lo >= 0 -> Some (lo, 0)
-  | _ -> None
+(* Bitset view of a value: certain bits and possible-but-uncertain bits,
+   disjoint and both non-negative. Defined for [Masked] values and
+   non-negative singleton intervals only. *)
+let has_bits = function
+  | Masked _ -> true
+  | Itv { lo; hi } -> lo = hi && lo >= 0
+  | Bot | Stackish -> false
+
+let bits_base = function Masked { base; _ } -> base | d -> lower d
+let bits_mask = function Masked { mask; _ } -> mask | _ -> 0
 
 let band a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
   | _ -> (
-    match (to_bits a, to_bits b) with
-    | Some (b1, m1), Some (b2, m2) ->
+    match (has_bits a, has_bits b) with
+    | true, true ->
+      let b1 = bits_base a and m1 = bits_mask a and b2 = bits_base b and m2 = bits_mask b in
       let certain = b1 land b2 in
       let possible = (b1 lor m1) land (b2 lor m2) in
       masked ~base:certain ~mask:(possible land lnot certain)
-    | Some (bb, mm), None | None, Some (bb, mm) ->
+    | true, false ->
       (* one side is a non-negative bitset: the result can only keep its
          bits, whatever the other side is — this is the SFI masking step *)
-      masked ~base:0 ~mask:(bb lor mm)
-    | None, None -> top)
+      masked ~base:0 ~mask:(bits_base a lor bits_mask a)
+    | false, true -> masked ~base:0 ~mask:(bits_base b lor bits_mask b)
+    | false, false -> top)
 
 let bor a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | _ -> (
-    match (to_bits a, to_bits b) with
-    | Some (b1, m1), Some (b2, m2) ->
+  | _ ->
+    if has_bits a && has_bits b then begin
+      let b1 = bits_base a and m1 = bits_mask a and b2 = bits_base b and m2 = bits_mask b in
       let certain = b1 lor b2 in
       let possible = b1 lor m1 lor b2 lor m2 in
       masked ~base:certain ~mask:(possible land lnot certain)
-    | _ -> top)
+    end
+    else top
 
 let bxor a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | _ -> (
-    match (to_bits a, to_bits b) with
-    | Some (b1, m1), Some (b2, m2) ->
+  | _ ->
+    if has_bits a && has_bits b then begin
+      let b1 = bits_base a and m1 = bits_mask a and b2 = bits_base b and m2 = bits_mask b in
       (* a result bit is certainly 1 iff exactly one side has it
          certainly 1 and neither side is uncertain about it *)
       let uncertain = m1 lor m2 in
       let base = b1 lxor b2 land lnot uncertain in
       masked ~base ~mask:((b1 lor m1 lor b2 lor m2) land lnot base)
-    | _ -> top)
+    end
+    else top
 
-let shift_count b = match singleton b with Some c when c >= 0 && c < 62 -> Some c | _ -> None
+(* A constant shift count in [0, 62), or -1 when there is none. *)
+let shift_count b =
+  if is_singleton b then
+    let c = lower b in
+    if c >= 0 && c < 62 then c else -1
+  else -1
 
 let shl a b =
-  match shift_count b with
-  | None -> ( match (a, b) with Bot, _ | _, Bot -> Bot | _ -> top)
-  | Some c -> (
+  let c = shift_count b in
+  if c < 0 then match (a, b) with Bot, _ | _, Bot -> Bot | _ -> top
+  else
     match a with
     | Bot -> Bot
     | Masked { base; mask } when base lor mask <= max_int asr c ->
       masked ~base:(base lsl c) ~mask:(mask lsl c)
     | Itv { lo; hi } when lo >= 0 && hi <= max_int asr c -> Itv { lo = lo lsl c; hi = hi lsl c }
-    | _ -> top)
+    | _ -> top
 
 let shr a b =
-  match shift_count b with
-  | None -> ( match (a, b) with Bot, _ | _, Bot -> Bot | _ -> top)
-  | Some c -> (
+  let c = shift_count b in
+  if c < 0 then match (a, b) with Bot, _ | _, Bot -> Bot | _ -> top
+  else
     match a with
     | Bot -> Bot
     | Masked { base; mask } -> masked ~base:(base lsr c) ~mask:(mask lsr c)
     | Itv { lo; hi } when lo >= 0 -> itv (lo lsr c) (hi lsr c)
-    | _ -> top)
+    | _ -> top
 
 let sar a b =
-  match shift_count b with
-  | None -> ( match (a, b) with Bot, _ | _, Bot -> Bot | _ -> top)
-  | Some c -> (
+  let c = shift_count b in
+  if c < 0 then match (a, b) with Bot, _ | _, Bot -> Bot | _ -> top
+  else
     match a with
     | Bot -> Bot
     | Masked { base; mask } -> masked ~base:(base asr c) ~mask:(mask asr c)
     | Itv { lo; hi } -> itv (lo asr c) (hi asr c)
-    | Stackish -> top)
+    | Stackish -> top
 
 let mul a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | _ -> (
-    match (singleton a, singleton b) with
-    (* native wrap-around multiply, matching the machine *)
-    | Some x, Some y -> const (x * y)
-    | _ -> (
-      match (bounds a, bounds b) with
-      | Some (l1, h1), Some (l2, h2) when l1 >= 0 && l2 >= 0 && (h2 = 0 || h1 <= max_int / h2)
-        -> Itv { lo = l1 * l2; hi = h1 * h2 }
-      | _ -> top))
+  | _ ->
+    if is_singleton a && is_singleton b then
+      (* native wrap-around multiply, matching the machine *)
+      const (lower a * lower b)
+    else if has_bounds a && has_bounds b then begin
+      let l1 = lower a and h1 = upper a and l2 = lower b and h2 = upper b in
+      if l1 >= 0 && l2 >= 0 && (h2 = 0 || h1 <= max_int / h2) then
+        itv_reuse a b (l1 * l2) (h1 * h2)
+      else top
+    end
+    else top
 
 let div a b =
   match (a, b) with
   | Bot, _ | _, Bot -> Bot
-  | _ -> (
-    match (bounds a, bounds b) with
-    | Some (l1, h1), Some (l2, h2) when l1 >= 0 && l2 >= 1 -> Itv { lo = l1 / h2; hi = h1 / l2 }
-    | _ -> top)
+  | _ ->
+    if has_bounds a && has_bounds b && lower a >= 0 && lower b >= 1 then
+      Itv { lo = lower a / upper b; hi = upper a / lower b }
+    else top
 
 let alu (op : Instr.alu_op) a b =
   match op with
@@ -219,9 +261,9 @@ let load_result ~bytes =
   | _ -> top
 
 let refine (c : Instr.cond) x ~rhs =
-  match bounds rhs with
-  | None -> x
-  | Some (rlo, rhi) -> (
+  if not (has_bounds rhs) then x
+  else begin
+    let rlo = lower rhs and rhi = upper rhs in
     match c with
     | Eq -> meet_itv x ~lo:rlo ~hi:rhi
     | Ne -> x
@@ -234,7 +276,8 @@ let refine (c : Instr.cond) x ~rhs =
          would have an unsigned value above every non-negative bound *)
       if rlo >= 0 then (if rhi <= 0 then Bot else meet_itv x ~lo:0 ~hi:(rhi - 1)) else x
     | Ule -> if rlo >= 0 then meet_itv x ~lo:0 ~hi:rhi else x
-    | Ugt | Uge -> x)
+    | Ugt | Uge -> x
+  end
 
 let hex n = if n < 0 then Printf.sprintf "-0x%x" (-n) else Printf.sprintf "0x%x" n
 

@@ -16,7 +16,15 @@
 
     The concretization of [Masked { base; mask }] has bounds
     [(base, base + mask)] — the two components have disjoint bits, so
-    the sum never overflows and equals [base lor mask]. *)
+    the sum never overflows and equals [base lor mask].
+
+    {b Allocation.} Queries ([has_bounds], [lower], [upper],
+    [is_singleton], [within], [disjoint], [equal]) never allocate, and
+    operations allocate only the value they return: when the result is
+    structurally equal to one of the inputs, that input is returned
+    itself (e.g. [join a b] is [a] when [a] already covers [b]). Values
+    are immutable, so callers may share them freely, and physical
+    equality implies {!equal}. *)
 
 type t =
   | Bot  (** unreachable / contradiction *)
@@ -37,15 +45,34 @@ val masked : base:int -> mask:int -> t
     negative. *)
 
 val is_bot : t -> bool
+
 val equal : t -> t -> bool
+(** Structural equality (the meaning of polymorphic [=]); short-circuits
+    on physical equality. *)
 
-val singleton : t -> int option
-(** [Some n] iff the abstraction denotes exactly [{n}]. *)
+(** {1 Allocation-free views} *)
 
-val bounds : t -> (int * int) option
-(** Concretization hull. [None] for [Bot] and [Stackish]. *)
+val has_bounds : t -> bool
+(** The value has a finite concretization hull: [Itv] and [Masked];
+    [false] for [Bot] and [Stackish]. *)
+
+val lower : t -> int
+(** Lowest concrete value. Requires [has_bounds]; raises
+    [Invalid_argument] otherwise. *)
+
+val upper : t -> int
+(** Highest concrete value ([base + mask] for [Masked]). Requires
+    [has_bounds]; raises [Invalid_argument] otherwise. *)
+
+val is_singleton : t -> bool
+(** The abstraction denotes exactly one value, which is then [lower]
+    (and [upper]). *)
+
+(** {1 Lattice and transfer} *)
 
 val join : t -> t -> t
+(** Least upper bound; returns an input that already covers the other
+    one as is. *)
 
 val widen : t -> t -> t
 (** [widen old next]: interval sides that grew jump to infinity; the

@@ -7,14 +7,25 @@
    Solved per block: each block's instructions fold into one gen/kill
    pair, and a predecessor worklist re-solves only blocks whose
    successors' live-in grew. The problem is union-only, so the least
-   fixpoint is unique and independent of visit order. *)
+   fixpoint is unique and independent of visit order.
+
+   Everything a solve needs that does not depend on the dead set — the
+   per-instruction gen/kill masks and the block predecessor lists — is
+   computed once by [prepare]. A [prepared] value is immutable and
+   describes one decoded program: [solve] may run on it any number of
+   times, with any dead set, and returns exactly what [compute] on the
+   same program and dead set returns. DCE prepares once per run and
+   solves once per round; [Regalloc] reads the kill masks as the
+   per-instruction write sets. *)
 
 let all_mask = (1 lsl Reg.count) - 1
 let rax_mask = 1 lsl Reg.index Reg.RAX
 
 let mask_of_arr (a : int array) =
   let m = ref 0 in
-  Array.iter (fun r -> m := !m lor (1 lsl r)) a;
+  for j = 0 to Array.length a - 1 do
+    m := !m lor (1 lsl a.(j))
+  done;
   !m
 
 (* Instructions whose register effects extend beyond [Uop.reads]. *)
@@ -25,80 +36,102 @@ let reads_everything (u : Uop.t) =
     true
   | _ -> false
 
-let gen_kill (u : Uop.t) =
-  let gen = if reads_everything u then all_mask else mask_of_arr u.Uop.reads in
-  let kill = mask_of_arr u.Uop.writes in
-  (gen, kill)
+let gen_of (u : Uop.t) = if reads_everything u then all_mask else mask_of_arr u.Uop.reads
+let kill_of (u : Uop.t) = mask_of_arr u.Uop.writes
+let gen_kill u = (gen_of u, kill_of u)
+
+type prepared = {
+  uops : Uop.t array;
+  cfg : Cfg.t;
+  gen : int array;  (* per instruction *)
+  kill : int array;  (* per instruction: the registers it writes *)
+  preds : int list array;  (* per block *)
+}
+
+let prepare (uops : Uop.t array) (cfg : Cfg.t) =
+  { uops; cfg; gen = Array.map gen_of uops; kill = Array.map kill_of uops; preds = Dom.preds_of cfg }
 
 type t = { live_in : int array; live_out : int array }
 
+let is_dead dead i = match dead with Some d -> d.(i) | None -> false
+
+let term_live (b : Cfg.block) =
+  match b.Cfg.term with
+  | Cfg.Thalt -> rax_mask
+  (* unresolved control flow: assume anything may be read next *)
+  | Cfg.Tjump_ind | Cfg.Tcall_ind _ | Cfg.Tout _ -> all_mask
+  | Cfg.Tfall None -> all_mask  (* running off the end: conservative *)
+  | _ -> 0
+
+let rec or_live_in blk_in acc = function
+  | [] -> acc
+  | s :: rest -> or_live_in blk_in (acc lor blk_in.(s)) rest
+
+(* Blocks waiting to be re-solved, each on it at most once: a stack of
+   [nb] slots (any order reaches the same fixpoint) *)
+type worklist = { stack : int array; on : bool array; mutable top : int }
+
+let push w b =
+  if not w.on.(b) then begin
+    w.on.(b) <- true;
+    w.stack.(w.top) <- b;
+    w.top <- w.top + 1
+  end
+
+let rec push_all w = function
+  | [] -> ()
+  | b :: rest ->
+    push w b;
+    push_all w rest
+
 (* [dead] marks instructions to treat as deleted: they neither read nor
    write, exactly as if [Edit.rebuild] had dropped them. *)
-let compute ?dead (uops : Uop.t array) (cfg : Cfg.t) =
-  let n = Array.length uops in
-  let nb = Array.length cfg.Cfg.blocks in
-  let is_dead = match dead with Some d -> fun i -> d.(i) | None -> fun _ -> false in
-  let term_live (b : Cfg.block) =
-    match b.Cfg.term with
-    | Cfg.Thalt -> rax_mask
-    (* unresolved control flow: assume anything may be read next *)
-    | Cfg.Tjump_ind | Cfg.Tcall_ind _ | Cfg.Tout _ -> all_mask
-    | Cfg.Tfall None -> all_mask  (* running off the end: conservative *)
-    | _ -> 0
-  in
+let solve ?dead p =
+  let n = Array.length p.uops in
+  let blocks = p.cfg.Cfg.blocks in
+  let nb = Array.length blocks in
   (* block transfer: live_in = gen | (live_out & ~kill) *)
   let gen = Array.make nb 0 and kill = Array.make nb 0 in
-  Array.iter
-    (fun (blk : Cfg.block) ->
-      let b = blk.Cfg.id in
-      for i = blk.Cfg.last downto blk.Cfg.first do
-        if not (is_dead i) then begin
-          let g, k = gen_kill uops.(i) in
-          gen.(b) <- g lor (gen.(b) land lnot k);
-          kill.(b) <- kill.(b) lor k
-        end
-      done)
-    cfg.Cfg.blocks;
-  let preds = Dom.preds_of cfg in
-  let blk_in = Array.make nb 0 in
-  let block_out b =
-    let blk = cfg.Cfg.blocks.(b) in
-    List.fold_left (fun acc s -> acc lor blk_in.(s)) (term_live blk) blk.Cfg.succs
-  in
-  let queue = Queue.create () in
-  let on_queue = Array.make nb true in
-  for b = nb - 1 downto 0 do
-    Queue.push b queue
+  for b = 0 to nb - 1 do
+    let blk = blocks.(b) in
+    for i = blk.Cfg.last downto blk.Cfg.first do
+      if not (is_dead dead i) then begin
+        let k = p.kill.(i) in
+        gen.(b) <- p.gen.(i) lor (gen.(b) land lnot k);
+        kill.(b) <- kill.(b) lor k
+      end
+    done
   done;
-  while not (Queue.is_empty queue) do
-    let b = Queue.pop queue in
-    on_queue.(b) <- false;
+  let blk_in = Array.make nb 0 in
+  let block_out b = or_live_in blk_in (term_live blocks.(b)) blocks.(b).Cfg.succs in
+  let w = { stack = Array.make nb 0; on = Array.make nb false; top = 0 } in
+  (* the last block first: liveness flows backwards *)
+  for b = 0 to nb - 1 do
+    push w b
+  done;
+  while w.top > 0 do
+    w.top <- w.top - 1;
+    let b = w.stack.(w.top) in
+    w.on.(b) <- false;
     let ni = gen.(b) lor (block_out b land lnot kill.(b)) in
     if ni <> blk_in.(b) then begin
       blk_in.(b) <- ni;
-      List.iter
-        (fun p ->
-          if not on_queue.(p) then begin
-            on_queue.(p) <- true;
-            Queue.push p queue
-          end)
-        preds.(b)
+      push_all w p.preds.(b)
     end
   done;
   let live_in = Array.make n 0 in
   let live_out = Array.make n 0 in
   for b = 0 to nb - 1 do
-    let blk = cfg.Cfg.blocks.(b) in
+    let blk = blocks.(b) in
     let live = ref (block_out b) in
     for i = blk.Cfg.last downto blk.Cfg.first do
       live_out.(i) <- !live;
-      if not (is_dead i) then begin
-        let g, k = gen_kill uops.(i) in
-        live := !live land lnot k lor g
-      end;
+      if not (is_dead dead i) then live := !live land lnot p.kill.(i) lor p.gen.(i);
       live_in.(i) <- !live
     done
   done;
   { live_in; live_out }
+
+let compute ?dead uops cfg = solve ?dead (prepare uops cfg)
 
 let is_live mask r = mask land (1 lsl r) <> 0

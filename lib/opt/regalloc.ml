@@ -26,17 +26,18 @@ type stats = {
 
 type interval = { reg : int; start_ : int; end_ : int }
 
-let intervals_of (uops : Uop.t array) (live : Liveness.t) ~allocatable =
-  let n = Array.length uops in
+(* A register's interval spans every instruction where it is live on
+   entry or written. Reads need no test of their own: an instruction's
+   reads are part of its gen mask, hence of its live-in. *)
+let intervals_of (p : Liveness.prepared) (live : Liveness.t) ~allocatable =
+  let n = Array.length p.Liveness.uops in
   List.filter_map
     (fun r ->
       let ri = Reg.index r in
       let start_ = ref max_int and end_ = ref (-1) in
       for i = 0 to n - 1 do
         let here =
-          Liveness.is_live live.Liveness.live_in.(i) ri
-          || Array.exists (fun w -> w = ri) uops.(i).Uop.writes
-          || Array.exists (fun rr -> rr = ri) uops.(i).Uop.reads
+          Liveness.is_live live.Liveness.live_in.(i) ri || Liveness.is_live p.Liveness.kill.(i) ri
         in
         if here then begin
           if i < !start_ then start_ := i;
@@ -141,9 +142,8 @@ let allocate ~code_base ~allocatable ~avail ~scratch ~spill_base prog =
   done;
   if not !usable then None
   else begin
-    let cfg = Cfg.build uops in
-    let live = Liveness.compute uops cfg in
-    let ivs = intervals_of uops live ~allocatable in
+    let live_p = Liveness.prepare uops (Cfg.build uops) in
+    let ivs = intervals_of live_p (Liveness.solve live_p) ~allocatable in
     let phys = List.filteri (fun k _ -> k < avail) alloc_idx in
     let assign, spilled = scan ivs ~phys in
     let slot_of =

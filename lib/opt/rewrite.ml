@@ -126,18 +126,13 @@ let run ~code_base prog =
     in
     let src_vn sreg simm = if sreg >= 0 then st.reg_vn.(sreg) else vn_const ctx simm in
     let src_av sreg simm = if sreg >= 0 then st.av.(sreg) else Domain.const simm in
-    (* constant value of an operand, syntactic or proven *)
-    let known av = Domain.singleton av in
     let reg r = Reg.of_index r in
     (* fold a known-constant index register into the displacement; the
        movi that fed it then dies in DCE *)
     let fold_mem midx mscale (m : Instr.mem) =
-      if midx >= 0 then begin
-        match known st.av.(midx) with
-        | Some c when m.Instr.index <> None ->
-          Some { m with Instr.index = None; scale = 1; disp = m.Instr.disp + (c * mscale) }
-        | _ -> None
-      end
+      if midx >= 0 && Domain.is_singleton st.av.(midx) && m.Instr.index <> None then
+        let c = Domain.lower st.av.(midx) in
+        Some { m with Instr.index = None; scale = 1; disp = m.Instr.disp + (c * mscale) }
       else None
     in
     let replace1 i ins =
@@ -157,20 +152,25 @@ let run ~code_base prog =
       | Uop.Oalu { op; d; sreg; simm } ->
         let self_zero = sreg = d && (op = Instr.Xor || op = Instr.Sub) in
         let a_av = st.av.(d) and b_av = src_av sreg simm in
-        let a_c = known a_av and b_c = known b_av in
+        (* constant values of the operands, syntactic or proven:
+           [a_c]/[b_c] are meaningful only under [a_k]/[b_k] *)
+        let a_k = Domain.is_singleton a_av and b_k = Domain.is_singleton b_av in
+        let a_c = if a_k then Domain.lower a_av else 0
+        and b_c = if b_k then Domain.lower b_av else 0 in
         let result_av =
           if self_zero then Domain.const 0 else Domain.alu op a_av b_av
         in
         let identity =
           (* dst op src = dst, for this operand *)
-          match (op, b_c) with
-          | (Instr.Add | Instr.Sub | Instr.Or | Instr.Xor), Some 0 -> true
-          | (Instr.Shl | Instr.Shr | Instr.Sar), Some s when s land 63 = 0 -> true
-          | (Instr.Mul | Instr.Div), Some 1 -> true
-          | Instr.And, Some (-1) -> true
-          | Instr.And, Some m when m >= 0 && is_pow2 (m + 1) && Domain.within a_av ~lo:0 ~hi:m ->
-            true
-          | _ -> false
+          b_k
+          &&
+          match op with
+          | Instr.Add | Instr.Sub | Instr.Or | Instr.Xor -> b_c = 0
+          | Instr.Shl | Instr.Shr | Instr.Sar -> b_c land 63 = 0
+          | Instr.Mul | Instr.Div -> b_c = 1
+          | Instr.And ->
+            b_c = -1
+            || (b_c >= 0 && is_pow2 (b_c + 1) && Domain.within a_av ~lo:0 ~hi:b_c)
         in
         if identity then begin
           Edit.delete edit i;
@@ -189,12 +189,10 @@ let run ~code_base prog =
             end
           in
           if self_zero then finish_const 0
+          else if a_k && b_k && (op <> Instr.Div || b_c <> 0) then
+            finish_const (Machine.alu op a_c b_c)
+          else if b_k && b_c = 0 && op = Instr.Mul then finish_const 0
           else begin
-            match (a_c, b_c) with
-            | Some a, Some b when op <> Instr.Div || b <> 0 ->
-              finish_const (Machine.alu op a b)
-            | _, Some 0 when op = Instr.Mul -> finish_const 0
-            | _ ->
             let vb = src_vn sreg simm in
             let e = expr_vn ctx op st.reg_vn.(d) vb in
             if st.reg_vn.(d) = e then begin
@@ -207,11 +205,11 @@ let run ~code_base prog =
               | Some h -> replace1 i (Instr.Mov (reg d, Instr.Reg (reg h)))
               | None -> (
                 (* strength reduction *)
-                match (op, b_c) with
-                | Instr.Mul, Some m when is_pow2 m ->
-                  replace1 i (Instr.Alu (Instr.Shl, reg d, Instr.Imm (log2 m)))
-                | Instr.Div, Some m when is_pow2 m && Domain.within a_av ~lo:0 ~hi:max_int ->
-                  replace1 i (Instr.Alu (Instr.Shr, reg d, Instr.Imm (log2 m)))
+                match op with
+                | Instr.Mul when b_k && is_pow2 b_c ->
+                  replace1 i (Instr.Alu (Instr.Shl, reg d, Instr.Imm (log2 b_c)))
+                | Instr.Div when b_k && is_pow2 b_c && Domain.within a_av ~lo:0 ~hi:max_int ->
+                  replace1 i (Instr.Alu (Instr.Shr, reg d, Instr.Imm (log2 b_c)))
                 | _ -> ()));
               set_reg d e result_av
             end
@@ -222,8 +220,8 @@ let run ~code_base prog =
           let base = if mbase >= 0 then st.av.(mbase) else Domain.const 0 in
           Domain.add (Domain.add base (Analysis.ea_value st.av ~midx ~mscale ~mdisp)) (Domain.const 0)
         in
-        match known av with
-        | Some c ->
+        if Domain.is_singleton av then begin
+          let c = Domain.lower av in
           let vn = vn_const ctx c in
           if st.reg_vn.(d) = vn then begin
             Edit.delete edit i;
@@ -233,7 +231,8 @@ let run ~code_base prog =
             replace1 i (Instr.Mov (reg d, Instr.Imm c));
             set_reg d vn (Domain.const c)
           end
-        | None ->
+        end
+        else begin
           if mbase < 0 && midx >= 0 && mscale = 1 && mdisp = 0 then begin
             (* lea d, [idx] is a copy *)
             let vn = st.reg_vn.(midx) in
@@ -254,7 +253,8 @@ let run ~code_base prog =
               | None -> ())
             | _ -> ());
             set_reg d (fresh ctx) av
-          end)
+          end
+        end)
       | Uop.Oload { bytes; d; midx; mscale; _ } ->
         (match Edit.original edit i with
         | Instr.Load (w, r, m) -> (
@@ -270,7 +270,8 @@ let run ~code_base prog =
           let src' =
             match src with
             | Instr.Reg _ when sreg >= 0 -> (
-              match known st.av.(sreg) with Some c -> Instr.Imm c | None -> src)
+              if Domain.is_singleton st.av.(sreg) then Instr.Imm (Domain.lower st.av.(sreg))
+              else src)
             | _ -> src
           in
           if m' <> m || src' <> src then replace1 i (Instr.Store (w, m', src'))
@@ -290,17 +291,15 @@ let run ~code_base prog =
           let src' =
             match src with
             | Instr.Reg _ when sreg >= 0 -> (
-              match known st.av.(sreg) with Some c -> Instr.Imm c | None -> src)
+              if Domain.is_singleton st.av.(sreg) then Instr.Imm (Domain.lower st.av.(sreg))
+              else src)
             | _ -> src
           in
           if m' <> m || src' <> src then replace1 i (Instr.Hstore (n, w, m', src'))
         | _ -> ())
       | Uop.Ocmp { d; sreg; _ } ->
-        if sreg >= 0 then begin
-          match known st.av.(sreg) with
-          | Some c -> replace1 i (Instr.Cmp (reg d, Instr.Imm c))
-          | None -> ()
-        end
+        if sreg >= 0 && Domain.is_singleton st.av.(sreg) then
+          replace1 i (Instr.Cmp (reg d, Instr.Imm (Domain.lower st.av.(sreg))))
       | Uop.Ocmp_mem { midx; mscale; _ } -> (
         match Edit.original edit i with
         | Instr.Cmp_mem (r, m) -> (

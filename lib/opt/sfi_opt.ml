@@ -158,14 +158,14 @@ let elide conv prog =
             in
             if access_ok && bi.(g.g_access - 1) = b then begin
               let av = Analysis.ea_value regs ~midx:g.g_midx ~mscale:g.g_mscale ~mdisp:g.g_mdisp in
-              match Domain.bounds av with
-              | Some (lo, hi) when lo >= 0 && hi <= provable_limit ->
+              if Domain.has_bounds av && Domain.lower av >= 0 && Domain.upper av <= provable_limit
+              then begin
                 for k = g.g_first to g.g_access - 1 do
                   Edit.delete edit k
                 done;
                 Edit.replace edit g.g_access [ direct_access conv edit g ];
                 incr count
-              | _ -> ()
+              end
             end)
     done;
     if Edit.changed edit then (Edit.rebuild edit, !count) else (prog, 0)

@@ -292,6 +292,22 @@ let block_lasts instrs =
   done;
   last
 
+(* [Reg.index] of each register of an [Instr.reads]/[Instr.writes] list,
+   as an array built without an intermediate list. The empty and the
+   one-register arrays are shared by every µop and never written. *)
+let singletons = Array.init Reg.count (fun r -> [| r |])
+
+let rec fill_regs a j = function
+  | [] -> a
+  | r :: rest ->
+    a.(j) <- Reg.index r;
+    fill_regs a (j + 1) rest
+
+let reg_array = function
+  | [] -> [||]
+  | [ r ] -> singletons.(Reg.index r)
+  | regs -> fill_regs (Array.make (List.length regs) 0) 0 regs
+
 let decode_fresh prog ~code_base =
   let instrs = Program.instrs prog in
   let lasts = block_lasts instrs in
@@ -303,8 +319,8 @@ let decode_fresh prog ~code_base =
         index;
         length = Instr.length ins;
         fetch_addr = code_base + Program.byte_offset prog index;
-        reads = Array.of_list (List.map Reg.index (Instr.reads ins));
-        writes = Array.of_list (List.map Reg.index (Instr.writes ins));
+        reads = reg_array (Instr.reads ins);
+        writes = reg_array (Instr.writes ins);
         off_critical = off_critical_of ins;
         base_serializing = (match ins with Instr.Cpuid | Instr.Mfence -> true | _ -> false);
         is_cpuid = (match ins with Instr.Cpuid -> true | _ -> false);

@@ -77,8 +77,11 @@ type t = {
   index : int;
   length : int;  (** encoded length in bytes ([Instr.length]) *)
   fetch_addr : int;  (** code_base + byte offset *)
-  reads : int array;  (** [Reg.index] of [Instr.reads], in order *)
-  writes : int array;
+  reads : int array;
+      (** [Reg.index] of [Instr.reads], in order. Read-only: the empty
+          and one-register arrays are shared between µops (and programs),
+          so writing into one would corrupt every other user. *)
+  writes : int array;  (** [Reg.index] of [Instr.writes], in order; read-only likewise *)
   off_critical : bool;  (** resolved off the issue critical path *)
   base_serializing : bool;  (** cpuid/mfence: serializes regardless of HFI *)
   is_cpuid : bool;

@@ -41,6 +41,16 @@ let collect_thresholds (uops : Uop.t array) wins =
 (* ------------------------------------------------------------------ *)
 (* Fixpoint driver.                                                    *)
 
+(* the recorded contribution of the edge from block [b] *)
+let rec edge_from (b : int) = function
+  | [] -> None
+  | (s, st) :: rest -> if s = b then Some st else edge_from b rest
+
+(* [acc] joined with each edge contribution, left to right *)
+let rec join_edges acc = function
+  | [] -> acc
+  | (_, s) :: rest -> join_edges (Vstate.join acc s) rest
+
 (* Outcome of the fixpoint: the report's raw material plus — when the
    analysis converged — the per-block entry invariants a proof artifact
    records. *)
@@ -60,7 +70,7 @@ let verify_internal ?(name = "program") spec prog =
     (* per target block: the latest contribution of each incoming edge,
        as a list sorted by source block *)
     let in_edges : (int * Vstate.t) list array = Array.make nb [] in
-    let rec set_edge s st = function
+    let rec set_edge (s : int) st = function
       | ((s', _) as e) :: rest when s' < s -> e :: set_edge s st rest
       | (s', _) :: rest when s' = s -> (s, st) :: rest
       | edges -> (s, st) :: edges
@@ -91,10 +101,9 @@ let verify_internal ?(name = "program") spec prog =
        born first, so a fixed edge order keeps reports byte-identical
        run to run (and across --jobs shardings). *)
     let joined_in b =
-      let acc = if b = 0 then Some init else None in
-      List.fold_left
-        (fun acc (_, s) -> Some (match acc with None -> s | Some a -> Vstate.join a s))
-        acc in_edges.(b)
+      match in_edges.(b) with
+      | [] -> if b = 0 then Some init else None
+      | (_, s) :: rest -> Some (join_edges (if b = 0 then Vstate.join init s else s) rest)
     in
     let recompute b =
       match joined_in b with
@@ -108,14 +117,14 @@ let verify_internal ?(name = "program") spec prog =
           if !narrowing then begin
             (* states only shrink here and stay above the fixpoint, so a
                bounded budget keeps this sound wherever it stops *)
-            if j <> cur then begin
+            if not (Vstate.equal j cur) then begin
               in_states.(b) <- Some j;
               enqueue b
             end
           end
           else begin
             let u = Vstate.join cur j in
-            if u <> cur then begin
+            if not (Vstate.equal u cur) then begin
               visits.(b) <- visits.(b) + 1;
               in_states.(b) <-
                 Some (if visits.(b) > widen_threshold then Vstate.widen ~thresholds cur u else u);
@@ -131,8 +140,8 @@ let verify_internal ?(name = "program") spec prog =
       | Some s ->
         List.iter
           (fun (t, contrib) ->
-            match List.assoc_opt b in_edges.(t) with
-            | Some old when old = contrib -> ()
+            match edge_from b in_edges.(t) with
+            | Some old when Vstate.equal old contrib -> ()
             | _ ->
               in_edges.(t) <- set_edge b contrib in_edges.(t);
               if not sink.(t) then recompute t)
@@ -166,11 +175,11 @@ let verify_internal ?(name = "program") spec prog =
          every block so downstream contributions shrink too. *)
       for b = 0 to nb - 1 do
         match (in_states.(b), joined_in b) with
-        | Some cur, Some j when j <> cur -> in_states.(b) <- Some j
+        | Some cur, Some j when not (Vstate.equal j cur) -> in_states.(b) <- Some j
         | _ -> ()
       done;
       for b = 0 to nb - 1 do
-        if in_states.(b) <> None then enqueue b
+        if Option.is_some in_states.(b) then enqueue b
       done;
       (* At quiescence (ascending or descending), every recorded edge
          contribution equals the transfer of its source's in-state and

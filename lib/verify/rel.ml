@@ -23,18 +23,15 @@ let max_k = 64
    churn in the fixpoint: refuse to create them. *)
 let max_offset_width = 1 lsl 20
 
-(* ---- overflow-checked arithmetic (63-bit native ints) ---- *)
+(* ---- overflow checks (63-bit native ints) ---- *)
 
-let add_chk a b =
+(* [a + b] does not wrap *)
+let add_ok a b =
   let s = a + b in
-  if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then None else Some s
+  not ((a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0))
 
-let mul_chk k x =
-  if k = 0 || x = 0 then Some 0
-  else if k = min_int || x = min_int then None
-  else
-    let r = k * x in
-    if r / k = x then Some r else None
+(* [k * x] does not wrap *)
+let mul_ok k x = k = 0 || x = 0 || (k <> min_int && x <> min_int && k * x / k = x)
 
 (* floor / ceiling division, exact for any sign of the operands *)
 let fdiv a b =
@@ -50,80 +47,90 @@ let cdiv a b =
 (* The offset interval [r - k*base] of one abstract state, when both
    sides have finite bounds and nothing overflows. *)
 let offset_itv rd based ~k =
-  match (Domain.bounds rd, Domain.bounds based) with
-  | Some (rl, rh), Some (bl, bh) when k <> 0 -> (
-    let a = mul_chk k bl and b = mul_chk k bh in
-    match (a, b) with
-    | Some a, Some b -> (
-      let kl = min a b and kh = max a b in
-      match (add_chk rl (-kh), add_chk rh (-kl)) with
-      | Some lo, Some hi when hi - lo >= 0 && hi - lo <= max_offset_width -> Some (lo, hi)
-      | _ -> None)
-    | _ -> None)
-  | _ -> None
+  if k = 0 || not (Domain.has_bounds rd && Domain.has_bounds based) then None
+  else begin
+    let bl = Domain.lower based and bh = Domain.upper based in
+    if not (mul_ok k bl && mul_ok k bh) then None
+    else begin
+      let a = k * bl and b = k * bh in
+      let kl = Int.min a b and kh = Int.max a b in
+      let rl = Domain.lower rd and rh = Domain.upper rd in
+      if not (add_ok rl (-kh) && add_ok rh (-kl)) then None
+      else begin
+        let lo = rl - kh and hi = rh - kl in
+        if hi - lo >= 0 && hi - lo <= max_offset_width then Some (lo, hi) else None
+      end
+    end
+  end
 
-(* Does [st = (facts, regs)] entail [r = k*base + [?,?]]? Returns the
-   tightest offset interval it can justify. *)
-let justify_offsets facts regs r (f : fact) =
+(* Does [st = (facts, regs)] entail [r = k*base + [f.lo, f.hi]]? The
+   state's own fact, when it has the same base and stride, or else the
+   interval hull of [r - k*base], must lie within [f]'s offsets. *)
+let entails facts regs r (f : fact) =
   match facts.(r) with
-  | Some (g : fact) when g.base = f.base && g.k = f.k -> Some (g.lo, g.hi)
-  | _ -> offset_itv regs.(r) regs.(f.base) ~k:f.k
+  | Some (g : fact) when g.base = f.base && g.k = f.k -> g.lo >= f.lo && g.hi <= f.hi
+  | _ -> (
+    match offset_itv regs.(r) regs.(f.base) ~k:f.k with
+    | Some (lo, hi) -> lo >= f.lo && hi <= f.hi
+    | None -> false)
 
 (* Infer a brand-new fact for [r] from two states in which both [r] and
    some base register are singletons that moved in lockstep: the join
    point of a loop head on the first back edge. Scans candidate bases
    in register-index order — deterministic. *)
+let rec infer_scan r a_regs b_regs v1 v2 b =
+  if b >= Array.length a_regs then None
+  else if b = r || not (Domain.is_singleton a_regs.(b) && Domain.is_singleton b_regs.(b)) then
+    infer_scan r a_regs b_regs v1 v2 (b + 1)
+  else begin
+    let w1 = Domain.lower a_regs.(b) and w2 = Domain.lower b_regs.(b) in
+    let dv = v2 - v1 and dw = w2 - w1 in
+    let k = if dw <> 0 && dv mod dw = 0 then dv / dw else 0 in
+    (* [o] is checked on the second pair too: guards mul overflow *)
+    if
+      w1 <> w2 && k <> 0 && abs k <= max_k && mul_ok k w1 && add_ok v1 (-(k * w1)) && mul_ok k w2
+      && v2 - (k * w2) = v1 - (k * w1)
+    then
+      let o = v1 - (k * w1) in
+      Some { base = b; k; lo = o; hi = o }
+    else infer_scan r a_regs b_regs v1 v2 (b + 1)
+  end
+
 let infer r a_regs b_regs =
-  match (Domain.singleton a_regs.(r), Domain.singleton b_regs.(r)) with
-  | Some v1, Some v2 when v1 <> v2 ->
-    let n = Array.length a_regs in
-    let rec scan b =
-      if b >= n then None
-      else if b = r then scan (b + 1)
-      else
-        match (Domain.singleton a_regs.(b), Domain.singleton b_regs.(b)) with
-        | Some w1, Some w2 when w1 <> w2 ->
-          let dv = v2 - v1 and dw = w2 - w1 in
-          if dw <> 0 && dv mod dw = 0 then begin
-            let k = dv / dw in
-            if k <> 0 && abs k <= max_k then begin
-              match mul_chk k w1 with
-              | Some kw1 -> (
-                match add_chk v1 (-kw1) with
-                | Some o -> (
-                  (* cross-check on the second pair guards mul overflow *)
-                  match mul_chk k w2 with
-                  | Some kw2 when v2 - kw2 = o -> Some { base = b; k; lo = o; hi = o }
-                  | _ -> scan (b + 1))
-                | None -> scan (b + 1))
-              | None -> scan (b + 1)
-            end
-            else scan (b + 1)
-          end
-          else scan (b + 1)
-        | _ -> scan (b + 1)
-    in
-    scan 0
-  | _ -> None
+  if Domain.is_singleton a_regs.(r) && Domain.is_singleton b_regs.(r) then begin
+    let v1 = Domain.lower a_regs.(r) and v2 = Domain.lower b_regs.(r) in
+    if v1 <> v2 then infer_scan r a_regs b_regs v1 v2 0 else None
+  end
+  else None
+
+(* Keep fact [f] (held as [fopt = Some f] by one side) if the other
+   side entails [r = k*base + _] too, hulling the offsets; [fopt] itself
+   when the hull adds nothing. *)
+let keep_hull fopt (f : fact) lo2 hi2 =
+  let lo = Int.min f.lo lo2 and hi = Int.max f.hi hi2 in
+  if hi - lo >= 0 && hi - lo <= max_offset_width then
+    if lo = f.lo && hi = f.hi then fopt else Some { f with lo; hi }
+  else None
+
+let keep r fopt (f : fact) other_facts other_regs =
+  match other_facts.(r) with
+  | Some (g : fact) when g.base = f.base && g.k = f.k -> keep_hull fopt f g.lo g.hi
+  | _ -> (
+    match offset_itv other_regs.(r) other_regs.(f.base) ~k:f.k with
+    | Some (lo2, hi2) -> keep_hull fopt f lo2 hi2
+    | None -> None)
 
 (* Join of the optional facts about [r]: keep a fact only if *both*
    joined states entail it (hulling the offsets), otherwise try to give
    birth to one from singleton pairs. *)
 let join_facts r a_facts a_regs b_facts b_regs =
-  let keep (f : fact) other_facts other_regs =
-    match justify_offsets other_facts other_regs r f with
-    | Some (lo2, hi2) ->
-      let lo = min f.lo lo2 and hi = max f.hi hi2 in
-      if hi - lo >= 0 && hi - lo <= max_offset_width then Some { f with lo; hi } else None
-    | None -> None
-  in
   match (a_facts.(r), b_facts.(r)) with
-  | Some f, _ -> (
-    match keep f b_facts b_regs with
+  | (Some f as fa), fb -> (
+    match keep r fa f b_facts b_regs with
     | Some _ as r -> r
     | None -> (
-      match b_facts.(r) with Some g -> keep g a_facts a_regs | None -> None))
-  | None, Some g -> keep g a_facts a_regs
+      match fb with Some g -> keep r fb g a_facts a_regs | None -> None))
+  | None, (Some g as fb) -> keep r fb g a_facts a_regs
   | None, None -> infer r a_regs b_regs
 
 (* Widening on facts: keep only facts that have stopped moving (the
@@ -132,10 +139,7 @@ let join_facts r a_facts a_regs b_facts b_regs =
    finite. *)
 let widen_facts r old_facts _old_regs next_facts next_regs =
   match old_facts.(r) with
-  | Some (f : fact) -> (
-    match justify_offsets next_facts next_regs r f with
-    | Some (lo, hi) when lo >= f.lo && hi <= f.hi -> Some f
-    | _ -> None)
+  | Some f as fo -> if entails next_facts next_regs r f then fo else None
   | None -> None
 
 (* Tighten the interval of [r] with its fact: meet with
@@ -144,37 +148,39 @@ let tighten facts regs r =
   let d = regs.(r) in
   match facts.(r) with
   | None -> d
-  | Some { base; k; lo; hi } -> (
-    match Domain.bounds regs.(base) with
-    | None -> d
-    | Some (bl, bh) -> (
-      match (mul_chk k bl, mul_chk k bh) with
-      | Some a, Some b -> (
-        let kl = min a b and kh = max a b in
-        match (add_chk kl lo, add_chk kh hi) with
-        | Some mlo, Some mhi -> Domain.meet_itv d ~lo:mlo ~hi:mhi
-        | _ -> d)
-      | _ -> d))
+  | Some { base; k; lo; hi } ->
+    let bd = regs.(base) in
+    if not (Domain.has_bounds bd) then d
+    else begin
+      let bl = Domain.lower bd and bh = Domain.upper bd in
+      if not (mul_ok k bl && mul_ok k bh) then d
+      else begin
+        let a = k * bl and b = k * bh in
+        let kl = Int.min a b and kh = Int.max a b in
+        if add_ok kl lo && add_ok kh hi then Domain.meet_itv d ~lo:(kl + lo) ~hi:(kh + hi) else d
+      end
+    end
 
 (* Refine the *base* of a fact from a refined view of the subject:
    [r = k*base + [lo,hi]] and [r in [rl,rh]] bound
    [base in [(rl-hi)/k, (rh-lo)/k]] (signs permuting for k < 0).
    Saturated subject bounds propagate as "no constraint". *)
 let refine_base (f : fact) ~refined base_dom =
-  match Domain.bounds refined with
-  | None -> base_dom
-  | Some (rl, rh) ->
-    let lo_num = if rl = min_int then None else add_chk rl (-f.hi) in
-    let hi_num = if rh = max_int then None else add_chk rh (-f.lo) in
+  if not (Domain.has_bounds refined) then base_dom
+  else begin
+    let rl = Domain.lower refined and rh = Domain.upper refined in
+    let lo_ok = rl <> min_int && add_ok rl (-f.hi) and lo_num = rl - f.hi in
+    let hi_ok = rh <> max_int && add_ok rh (-f.lo) and hi_num = rh - f.lo in
     let blo, bhi =
       if f.k > 0 then
-        ( (match lo_num with Some v -> cdiv v f.k | None -> min_int),
-          match hi_num with Some v -> fdiv v f.k | None -> max_int )
+        ( (if lo_ok then cdiv lo_num f.k else min_int),
+          if hi_ok then fdiv hi_num f.k else max_int )
       else
-        ( (match hi_num with Some v -> cdiv v f.k | None -> min_int),
-          match lo_num with Some v -> fdiv v f.k | None -> max_int )
+        ( (if hi_ok then cdiv hi_num f.k else min_int),
+          if lo_ok then fdiv lo_num f.k else max_int )
     in
     Domain.meet_itv base_dom ~lo:blo ~hi:bhi
+  end
 
 (* ---- in-place fact transfer (arrays local to one block simulation) ---- *)
 
@@ -182,9 +188,9 @@ let refine_base (f : fact) ~refined base_dom =
    on it die. *)
 let kill facts d =
   facts.(d) <- None;
-  Array.iteri
-    (fun r f -> match f with Some { base; _ } when base = d -> facts.(r) <- None | _ -> ())
-    facts
+  for r = 0 to Array.length facts - 1 do
+    match facts.(r) with Some { base; _ } when base = d -> facts.(r) <- None | _ -> ()
+  done
 
 (* d := s (register copy) *)
 let assign_copy facts d s =
@@ -202,23 +208,21 @@ let assign_affine facts d ~base ~k ~off =
    [d] compensate the other way ([r = k*d_old + o = k*d_new + o - k*imm]). *)
 let add_imm facts d imm =
   (match facts.(d) with
-  | Some f -> (
-    match (add_chk f.lo imm, add_chk f.hi imm) with
-    | Some lo, Some hi -> facts.(d) <- Some { f with lo; hi }
-    | _ -> facts.(d) <- None)
+  | Some f ->
+    facts.(d) <-
+      (if add_ok f.lo imm && add_ok f.hi imm then Some { f with lo = f.lo + imm; hi = f.hi + imm }
+       else None)
   | None -> ());
-  Array.iteri
-    (fun r f ->
-      match f with
-      | Some ({ base; k; lo; hi } as f) when base = d && r <> d -> (
-        match mul_chk k imm with
-        | Some ki -> (
-          match (add_chk lo (-ki), add_chk hi (-ki)) with
-          | Some lo, Some hi -> facts.(r) <- Some { f with lo; hi }
-          | _ -> facts.(r) <- None)
-        | None -> facts.(r) <- None)
-      | _ -> ())
-    facts
+  for r = 0 to Array.length facts - 1 do
+    match facts.(r) with
+    | Some ({ base; k; lo; hi } as f) when base = d && r <> d ->
+      let ki = k * imm in
+      facts.(r) <-
+        (if mul_ok k imm && add_ok lo (-ki) && add_ok hi (-ki) then
+           Some { f with lo = lo - ki; hi = hi - ki }
+         else None)
+    | _ -> ()
+  done
 
 (* d := d + s: expressible only when d is already an affine function of
    s ([d = k*s + o] becomes [d = (k+1)*s + o]); otherwise d dies. Facts
@@ -235,6 +239,24 @@ let add_reg facts d s =
 
 (* ---- interval widening with thresholds ---- *)
 
+(* Largest threshold [<= v] ([min_int] if none) and smallest [>= v]
+   ([max_int] if none), by binary search over the sorted ladder. *)
+let rec floor_threshold th v lo hi best =
+  if lo > hi then best
+  else begin
+    let mid = (lo + hi) / 2 in
+    if th.(mid) <= v then floor_threshold th v (mid + 1) hi th.(mid)
+    else floor_threshold th v lo (mid - 1) best
+  end
+
+let rec ceil_threshold th v lo hi best =
+  if lo > hi then best
+  else begin
+    let mid = (lo + hi) / 2 in
+    if th.(mid) >= v then ceil_threshold th v lo (mid - 1) th.(mid)
+    else ceil_threshold th v (mid + 1) hi best
+  end
+
 (* [thresholds] must be sorted ascending. A growing bound jumps to the
    nearest enclosing threshold instead of straight to infinity; each
    register can climb the (finite) ladder at most once per rung, so
@@ -242,23 +264,10 @@ let add_reg facts d s =
 let widen_dom ~thresholds old next =
   match ((old : Domain.t), (next : Domain.t)) with
   | Itv a, Itv b ->
-    let lo =
-      if b.lo >= a.lo then a.lo
-      else begin
-        let best = ref min_int in
-        Array.iter (fun t -> if t <= b.lo && t > !best then best := t) thresholds;
-        !best
-      end
-    in
-    let hi =
-      if b.hi <= a.hi then a.hi
-      else begin
-        let best = ref max_int in
-        Array.iter (fun t -> if t >= b.hi && t < !best then best := t) thresholds;
-        !best
-      end
-    in
-    Domain.Itv { lo; hi }
+    let last = Array.length thresholds - 1 in
+    let lo = if b.lo >= a.lo then a.lo else floor_threshold thresholds b.lo 0 last min_int in
+    let hi = if b.hi <= a.hi then a.hi else ceil_threshold thresholds b.hi 0 last max_int in
+    if lo = a.lo && hi = a.hi then old else Domain.Itv { lo; hi }
   | _ -> Domain.widen old next
 
 let leq_dom a b = Domain.equal (Domain.join a b) b

@@ -26,19 +26,20 @@ type fact = {
 
 val max_k : int
 
-val justify_offsets : fact option array -> Domain.t array -> int -> fact -> (int * int) option
-(** [justify_offsets facts regs r f]: the tightest offset interval the
-    state can prove for [r = f.k * f.base + _] — the recorded fact's
-    offsets when one is present with the same base and stride, else the
-    interval hull of [r - k*base]. [None] when the state cannot relate
-    the two registers at all. *)
+val entails : fact option array -> Domain.t array -> int -> fact -> bool
+(** [entails facts regs r f]: the state proves [r = f.k * f.base + o]
+    with [o] within [f]'s offsets — through its own fact when it has
+    one with the same base and stride, else through the interval hull
+    of [r - k*base]. *)
 
 val join_facts :
   int -> fact option array -> Domain.t array -> fact option array -> Domain.t array -> fact option
 (** [join_facts r a_facts a_regs b_facts b_regs]: the strongest fact
     about register [r] entailed by both states, inferring a new one
     from singleton pairs when neither side carries a fact yet.
-    Symmetric in the two states. *)
+    Symmetric in the two states. Allocates only a fact that changed: a
+    kept fact whose offsets already cover the other side's is returned
+    as the very option [a_facts.(r)] (or [b_facts.(r)]) holds. *)
 
 val widen_facts :
   int -> fact option array -> Domain.t array -> fact option array -> Domain.t array -> fact option
@@ -75,7 +76,8 @@ val add_reg : fact option array -> int -> int -> unit
 
 val widen_dom : thresholds:int array -> Domain.t -> Domain.t -> Domain.t
 (** Interval widening with a sorted threshold ladder; non-interval
-    shapes fall back to {!Domain.widen}. *)
+    shapes fall back to {!Domain.widen}. Returns [old] itself when no
+    bound moved. *)
 
 val leq_dom : Domain.t -> Domain.t -> bool
 (** Lattice order via [join a b = b]. *)

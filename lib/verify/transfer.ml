@@ -34,10 +34,11 @@ let windows strategy =
 
 type ctx = {
   spec : spec;
+  prog : Program.t;
   uops : Uop.t array;
   cfg : Cfg.t;
   byte_size : int;
-  addr_index : (int, int) Hashtbl.t;  (* fetch byte address -> instruction index *)
+  imm : Domain.t array;  (* per instruction: its immediate operand as a constant *)
   wins : window list;
   dyn_edges : (int * int, unit) Hashtbl.t;  (* resolved indirect edges *)
   mutable viols : Report.violation list;
@@ -46,18 +47,27 @@ type ctx = {
   mutable checked_branches : int;
 }
 
+(* The constant a µop's immediate operand denotes: the source immediate
+   of a register/immediate form, the displacement of a memory operand.
+   Built once per verification so block visits share it. *)
+let imm_of (u : Uop.t) =
+  match u.Uop.op with
+  | Uop.Omov { sreg; simm; _ } | Uop.Oalu { sreg; simm; _ } | Uop.Ocmp { sreg; simm; _ } ->
+    if sreg < 0 then Domain.const simm else Domain.Bot
+  | Uop.Oload { mdisp; _ } | Uop.Ostore { mdisp; _ } | Uop.Olea { mdisp; _ }
+  | Uop.Ocmp_mem { mdisp; _ } ->
+    Domain.const mdisp
+  | _ -> Domain.Bot
+
 let make_ctx spec prog =
   let uops = Uop.decode prog ~code_base:spec.code_base in
-  let n = Array.length uops in
-  let cfg = Cfg.build uops in
-  let addr_index = Hashtbl.create (max 16 n) in
-  Array.iteri (fun i (u : Uop.t) -> Hashtbl.replace addr_index u.fetch_addr i) uops;
   {
     spec;
+    prog;
     uops;
-    cfg;
+    cfg = Cfg.build uops;
     byte_size = Program.byte_size prog;
-    addr_index;
+    imm = Array.map imm_of uops;
     wins = windows spec.strategy;
     dyn_edges = Hashtbl.create 8;
     viols = [];
@@ -141,187 +151,253 @@ let check_hmov ctx ~record (st_regions : Vstate.rstate array) i ~region ~write =
 
 let rsp_i = Reg.index Reg.RSP
 let rbp_i = Reg.index Reg.RBP
+let zero = Domain.const 0
+let small_consts = Array.init 9 Domain.const
+let scale_const k = if k >= 0 && k < Array.length small_consts then small_consts.(k) else Domain.const k
+
+(* The block simulation's working state: [regs] and [facts] are private
+   copies of the in-state's arrays; [regions] stays the in-state's own
+   array until the block first writes a region register. *)
+type sim = {
+  regs : Domain.t array;
+  facts : Rel.fact option array;
+  mutable regions : Vstate.rstate array;
+  mutable regions_own : bool;
+  mutable cmp_reg : int;
+  mutable cmp_rhs : Domain.t;
+  mutable sandbox : Vstate.sandbox;
+}
+
+let set_region sm slot v =
+  if not sm.regions_own then begin
+    sm.regions <- Array.copy sm.regions;
+    sm.regions_own <- true
+  end;
+  sm.regions.(slot) <- v
+
+(* write [d]'s value without touching facts: the caller has already
+   applied the matching fact transfer (compensation, copy, lea, kill) *)
+let set_val sm d v =
+  sm.regs.(d) <- v;
+  if sm.cmp_reg = d then begin
+    sm.cmp_reg <- -1;
+    sm.cmp_rhs <- Domain.top
+  end
+
+(* write [d] with an arbitrary value: facts about and based on [d] die *)
+let set_reg sm d v =
+  Rel.kill sm.facts d;
+  set_val sm d v
+
+let src_val ctx sm i sreg = if sreg >= 0 then sm.regs.(sreg) else ctx.imm.(i)
+
+(* register read at a memory operand: meet the interval with the affine
+   fact's concretization — this is where a loop counter's compare bound
+   transfers to a derived pointer *)
+let eval_mem ctx sm i ~mbase ~midx ~mscale =
+  let base = if mbase >= 0 then Rel.tighten sm.facts sm.regs mbase else zero in
+  let idx =
+    if midx >= 0 then
+      Domain.alu Instr.Mul (Rel.tighten sm.facts sm.regs midx) (scale_const mscale)
+    else zero
+  in
+  Domain.add (Domain.add base idx) ctx.imm.(i)
+
+(* push/pop/call/ret traffic goes through RSP: exempt while RSP is
+   stack-derived, an ordinary checked access once the program has
+   repointed it *)
+let stack_access ctx ~record sm i =
+  check_plain ctx ~record ~sandbox:sm.sandbox i sm.regs.(rsp_i) ~bytes:8
+
+let push_delta = Domain.const (-8)
+let pop_delta = Domain.const 8
+
+(* RSP moves by [delta] = -8 (push/call) or +8 (pop/ret) *)
+let bump_rsp sm delta =
+  Rel.add_imm sm.facts rsp_i delta;
+  set_val sm rsp_i (Domain.add sm.regs.(rsp_i) (if delta < 0 then push_delta else pop_delta))
+
+let region_write_gate ctx ~record sm i =
+  match sm.sandbox with
+  | Vstate.Sout -> `Trusted
+  | Vstate.Sin ->
+    viol ctx ~record Report.Hfi_invariant i "region register written inside the sandbox";
+    `Untrusted
+  | Vstate.Smaybe ->
+    reason ctx ~record i "region register write with unknown sandbox state";
+    `Untrusted
+
+let step ctx ~record sm i =
+  let u = ctx.uops.(i) in
+  match u.Uop.op with
+  | Uop.Omov { d; sreg; _ } ->
+    if sreg >= 0 then Rel.assign_copy sm.facts d sreg else Rel.kill sm.facts d;
+    set_val sm d (src_val ctx sm i sreg)
+  | Uop.Oload { bytes; d; mbase; midx; mscale; _ } ->
+    check_plain ctx ~record ~sandbox:sm.sandbox i (eval_mem ctx sm i ~mbase ~midx ~mscale) ~bytes;
+    set_reg sm d (Domain.load_result ~bytes)
+  | Uop.Ostore { bytes; mbase; midx; mscale; _ } ->
+    check_plain ctx ~record ~sandbox:sm.sandbox i (eval_mem ctx sm i ~mbase ~midx ~mscale) ~bytes
+  | Uop.Ohload { region; bytes; d; _ } ->
+    check_hmov ctx ~record sm.regions i ~region ~write:false;
+    set_reg sm d (Domain.load_result ~bytes)
+  | Uop.Ohstore { region; _ } -> check_hmov ctx ~record sm.regions i ~region ~write:true
+  | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
+    let v = eval_mem ctx sm i ~mbase ~midx ~mscale in
+    (if mbase < 0 && midx >= 0 && midx <> d then
+       Rel.assign_affine sm.facts d ~base:midx ~k:mscale ~off:mdisp
+     else if mbase >= 0 && midx < 0 && mbase <> d then
+       Rel.assign_affine sm.facts d ~base:mbase ~k:1 ~off:mdisp
+     else Rel.kill sm.facts d);
+    set_val sm d v
+  | Uop.Oalu { op; d; sreg; simm } ->
+    if sreg = d && (op = Instr.Xor || op = Instr.Sub) then set_reg sm d zero
+    else begin
+      let v = Domain.alu op sm.regs.(d) (src_val ctx sm i sreg) in
+      (match op with
+      | Instr.Add when sreg < 0 -> Rel.add_imm sm.facts d simm
+      | Instr.Sub when sreg < 0 && simm <> min_int -> Rel.add_imm sm.facts d (-simm)
+      | Instr.Add when sreg >= 0 -> Rel.add_reg sm.facts d sreg
+      | _ -> Rel.kill sm.facts d);
+      set_val sm d v
+    end
+  | Uop.Ocmp { d; sreg; _ } ->
+    sm.cmp_reg <- d;
+    sm.cmp_rhs <- src_val ctx sm i sreg
+  | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
+    check_plain ctx ~record ~sandbox:sm.sandbox i (eval_mem ctx sm i ~mbase ~midx ~mscale) ~bytes:8;
+    sm.cmp_reg <- d;
+    (* The heap bound cell is written by the trusted prologue and
+       memory.grow only, and never exceeds the 4 GiB Wasm limit: the
+       exact invariant wasm2c-style bounds checks rely on. *)
+    sm.cmp_rhs <-
+      (if mbase < 0 && midx < 0 && mdisp = Hfi_wasm.Layout.heap_bound_cell then
+         Domain.itv 0 Hfi_wasm.Layout.heap_max
+       else Domain.top)
+  | Uop.Opush _ ->
+    stack_access ctx ~record sm i;
+    bump_rsp sm (-8)
+  | Uop.Opop d ->
+    stack_access ctx ~record sm i;
+    bump_rsp sm 8;
+    (* frame discipline: values popped into the stack/frame pointer
+       are saved stack pointers (push rbp ... pop rbp) *)
+    set_reg sm d (if d = rsp_i || d = rbp_i then Domain.Stackish else Domain.top)
+  | Uop.Ocall _ | Uop.Ocall_ind _ ->
+    stack_access ctx ~record sm i;
+    bump_rsp sm (-8)
+  | Uop.Oret ->
+    stack_access ctx ~record sm i;
+    bump_rsp sm 8
+  | Uop.Osyscall -> set_reg sm (Reg.index Reg.RAX) Domain.top
+  | Uop.Ohfi_enter spec ->
+    if record && ctx.spec.strategy = Hfi_sfi.Strategy.Hfi then begin
+      let covers slot =
+        match sm.regions.(slot) with
+        | Vstate.Rknown (Hfi_iface.Implicit_code r) ->
+          r.permission_exec
+          && ctx.spec.code_base land lnot r.lsb_mask = r.base_prefix
+          && (ctx.byte_size = 0
+             || (ctx.spec.code_base + ctx.byte_size - 1) land lnot r.lsb_mask = r.base_prefix)
+        | _ -> false
+      in
+      if not (List.exists covers Hfi_iface.code_region_slots) then
+        reason ctx ~record i "entering the sandbox without a code region covering the program"
+    end;
+    if spec.Hfi_iface.switch_on_exit || spec.Hfi_iface.exit_handler <> None then
+      reason ctx ~record i "exit-handler redirection / bank switching not modeled";
+    sm.sandbox <- Vstate.Sin
+  | Uop.Ohfi_exit -> sm.sandbox <- Vstate.Sout
+  | Uop.Ohfi_reenter -> sm.sandbox <- Vstate.Sin
+  | Uop.Ohfi_set_region { slot; region } -> begin
+    let gate = region_write_gate ctx ~record sm i in
+    if slot >= 0 && slot < Hfi_iface.region_count then begin
+      match Hfi_core.Region.validate ~slot region with
+      | Error e ->
+        reason ctx ~record i
+          ("invalid region descriptor (traps at runtime): " ^ Hfi_core.Region.error_to_string e);
+        set_region sm slot Vstate.Runknown
+      | Ok () ->
+        set_region sm slot (if gate = `Trusted then Vstate.Rknown region else Vstate.Runknown)
+    end
+    else if slot >= Hfi_iface.region_count && slot < 2 * Hfi_iface.region_count then
+      (* inactive bank; harmless while bank switching stays unmodeled
+         (any switch_on_exit enter already degrades to Unknown) *)
+      ()
+    else reason ctx ~record i "region slot out of range (traps at runtime)"
+  end
+  | Uop.Ohfi_clear_region slot -> begin
+    let gate = region_write_gate ctx ~record sm i in
+    if slot >= 0 && slot < Hfi_iface.region_count then
+      set_region sm slot (if gate = `Trusted then Vstate.Runset else Vstate.Runknown)
+  end
+  | Uop.Ohfi_clear_all -> begin
+    let gate = region_write_gate ctx ~record sm i in
+    let v = if gate = `Trusted then Vstate.Runset else Vstate.Runknown in
+    for slot = 0 to Hfi_iface.region_count - 1 do
+      set_region sm slot v
+    done
+  end
+  | Uop.Ohfi_get_region { d; _ } -> set_reg sm d Domain.top
+  | Uop.Ocpuid ->
+    List.iter (fun r -> set_reg sm (Reg.index r) zero) [ Reg.RAX; Reg.RBX; Reg.RCX; Reg.RDX ]
+  | Uop.Ordtsc d | Uop.Ordmsr d -> set_reg sm d Domain.top
+  | Uop.Oclflush _ (* cache maintenance, not a data access *)
+  | Uop.Omfence | Uop.Onop | Uop.Ojmp _ | Uop.Ojcc _ | Uop.Ojmp_ind _ | Uop.Ohalt ->
+    ()
+
+(* The out-state refined by assuming [cond] held at the block's final
+   compare; [None] when that is impossible. [out] itself when the
+   refinement moves nothing. *)
+let refine_edge (out : Vstate.t) cond =
+  let c = out.Vstate.cmp_reg in
+  if c < 0 then Some out
+  else begin
+    let regs = out.Vstate.regs in
+    let r = Domain.refine cond regs.(c) ~rhs:out.Vstate.cmp_rhs in
+    if Domain.is_bot r then None
+    else begin
+      (* loop-aware range recovery: a compare on a derived value
+         ([cmp 2*i, n]) bounds the underlying counter through the
+         affine fact *)
+      let fb, nb =
+        match out.Vstate.facts.(c) with
+        | Some f when f.base <> c -> (f.base, Rel.refine_base f ~refined:r regs.(f.base))
+        | _ -> (-1, Domain.Bot)
+      in
+      if r == regs.(c) && (fb < 0 || nb == regs.(fb)) then Some out
+      else begin
+        let regs' = Array.copy regs in
+        regs'.(c) <- r;
+        if fb >= 0 then regs'.(fb) <- nb;
+        Some { out with Vstate.regs = regs' }
+      end
+    end
+  end
 
 let simulate ctx ~record (st0 : Vstate.t) (b : Cfg.block) =
-  let regs = Array.copy st0.Vstate.regs in
-  let facts = Array.copy st0.Vstate.facts in
-  let regions = Array.copy st0.Vstate.regions in
-  let cmp_reg = ref st0.Vstate.cmp_reg in
-  let cmp_rhs = ref st0.Vstate.cmp_rhs in
-  let sandbox = ref st0.Vstate.sandbox in
-  (* write [d]'s value without touching facts: the caller has already
-     applied the matching fact transfer (compensation, copy, lea, kill) *)
-  let set_val d v =
-    regs.(d) <- v;
-    if !cmp_reg = d then begin
-      cmp_reg := -1;
-      cmp_rhs := Domain.top
-    end
-  in
-  (* write [d] with an arbitrary value: facts about and based on [d] die *)
-  let set_reg d v =
-    Rel.kill facts d;
-    set_val d v
-  in
-  let src_val sreg simm = if sreg >= 0 then regs.(sreg) else Domain.const simm in
-  (* register read at a memory operand: meet the interval with the
-     affine fact's concretization — this is where a loop counter's
-     compare bound transfers to a derived pointer *)
-  let reg_at_use r = Rel.tighten facts regs r in
-  let eval_mem ~mbase ~midx ~mscale ~mdisp =
-    let base = if mbase >= 0 then reg_at_use mbase else Domain.const 0 in
-    let idx =
-      if midx >= 0 then Domain.alu Instr.Mul (reg_at_use midx) (Domain.const mscale)
-      else Domain.const 0
-    in
-    Domain.add (Domain.add base idx) (Domain.const mdisp)
-  in
-  (* push/pop/call/ret traffic goes through RSP: exempt while RSP is
-     stack-derived, an ordinary checked access once the program has
-     repointed it *)
-  let stack_access i = check_plain ctx ~record ~sandbox:!sandbox i regs.(rsp_i) ~bytes:8 in
-  let bump_rsp delta =
-    Rel.add_imm facts rsp_i delta;
-    set_val rsp_i (Domain.add regs.(rsp_i) (Domain.const delta))
-  in
-  let region_write_gate i =
-    match !sandbox with
-    | Vstate.Sout -> `Trusted
-    | Vstate.Sin ->
-      viol ctx ~record Report.Hfi_invariant i "region register written inside the sandbox";
-      `Untrusted
-    | Vstate.Smaybe ->
-      reason ctx ~record i "region register write with unknown sandbox state";
-      `Untrusted
+  let sm =
+    {
+      regs = Array.copy st0.Vstate.regs;
+      facts = Array.copy st0.Vstate.facts;
+      regions = st0.Vstate.regions;
+      regions_own = false;
+      cmp_reg = st0.Vstate.cmp_reg;
+      cmp_rhs = st0.Vstate.cmp_rhs;
+      sandbox = st0.Vstate.sandbox;
+    }
   in
   for i = b.first to b.last do
-    let u = ctx.uops.(i) in
-    match u.Uop.op with
-    | Uop.Omov { d; sreg; simm } ->
-      if sreg >= 0 then Rel.assign_copy facts d sreg else Rel.kill facts d;
-      set_val d (src_val sreg simm)
-    | Uop.Oload { bytes; d; mbase; midx; mscale; mdisp } ->
-      check_plain ctx ~record ~sandbox:!sandbox i (eval_mem ~mbase ~midx ~mscale ~mdisp) ~bytes;
-      set_reg d (Domain.load_result ~bytes)
-    | Uop.Ostore { bytes; mbase; midx; mscale; mdisp; _ } ->
-      check_plain ctx ~record ~sandbox:!sandbox i (eval_mem ~mbase ~midx ~mscale ~mdisp) ~bytes
-    | Uop.Ohload { region; bytes; d; _ } ->
-      check_hmov ctx ~record regions i ~region ~write:false;
-      set_reg d (Domain.load_result ~bytes)
-    | Uop.Ohstore { region; _ } -> check_hmov ctx ~record regions i ~region ~write:true
-    | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
-      let v = eval_mem ~mbase ~midx ~mscale ~mdisp in
-      (if mbase < 0 && midx >= 0 && midx <> d then
-         Rel.assign_affine facts d ~base:midx ~k:mscale ~off:mdisp
-       else if mbase >= 0 && midx < 0 && mbase <> d then
-         Rel.assign_affine facts d ~base:mbase ~k:1 ~off:mdisp
-       else Rel.kill facts d);
-      set_val d v
-    | Uop.Oalu { op; d; sreg; simm } ->
-      if sreg = d && (op = Instr.Xor || op = Instr.Sub) then set_reg d (Domain.const 0)
-      else begin
-        let v = Domain.alu op regs.(d) (src_val sreg simm) in
-        (match op with
-        | Instr.Add when sreg < 0 -> Rel.add_imm facts d simm
-        | Instr.Sub when sreg < 0 && simm <> min_int -> Rel.add_imm facts d (-simm)
-        | Instr.Add when sreg >= 0 -> Rel.add_reg facts d sreg
-        | _ -> Rel.kill facts d);
-        set_val d v
-      end
-    | Uop.Ocmp { d; sreg; simm } ->
-      cmp_reg := d;
-      cmp_rhs := src_val sreg simm
-    | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
-      check_plain ctx ~record ~sandbox:!sandbox i (eval_mem ~mbase ~midx ~mscale ~mdisp) ~bytes:8;
-      cmp_reg := d;
-      (* The heap bound cell is written by the trusted prologue and
-         memory.grow only, and never exceeds the 4 GiB Wasm limit: the
-         exact invariant wasm2c-style bounds checks rely on. *)
-      cmp_rhs :=
-        (if mbase < 0 && midx < 0 && mdisp = Hfi_wasm.Layout.heap_bound_cell then
-           Domain.itv 0 Hfi_wasm.Layout.heap_max
-         else Domain.top)
-    | Uop.Opush _ ->
-      stack_access i;
-      bump_rsp (-8)
-    | Uop.Opop d ->
-      stack_access i;
-      bump_rsp 8;
-      (* frame discipline: values popped into the stack/frame pointer
-         are saved stack pointers (push rbp ... pop rbp) *)
-      set_reg d (if d = rsp_i || d = rbp_i then Domain.Stackish else Domain.top)
-    | Uop.Ocall _ | Uop.Ocall_ind _ ->
-      stack_access i;
-      bump_rsp (-8)
-    | Uop.Oret ->
-      stack_access i;
-      bump_rsp 8
-    | Uop.Osyscall -> set_reg (Reg.index Reg.RAX) Domain.top
-    | Uop.Ohfi_enter spec ->
-      if record && ctx.spec.strategy = Hfi_sfi.Strategy.Hfi then begin
-        let covers slot =
-          match regions.(slot) with
-          | Vstate.Rknown (Hfi_iface.Implicit_code r) ->
-            r.permission_exec
-            && ctx.spec.code_base land lnot r.lsb_mask = r.base_prefix
-            && (ctx.byte_size = 0
-               || (ctx.spec.code_base + ctx.byte_size - 1) land lnot r.lsb_mask = r.base_prefix)
-          | _ -> false
-        in
-        if not (List.exists covers Hfi_iface.code_region_slots) then
-          reason ctx ~record i "entering the sandbox without a code region covering the program"
-      end;
-      if spec.Hfi_iface.switch_on_exit || spec.Hfi_iface.exit_handler <> None then
-        reason ctx ~record i "exit-handler redirection / bank switching not modeled";
-      sandbox := Vstate.Sin
-    | Uop.Ohfi_exit -> sandbox := Vstate.Sout
-    | Uop.Ohfi_reenter -> sandbox := Vstate.Sin
-    | Uop.Ohfi_set_region { slot; region } -> begin
-      let gate = region_write_gate i in
-      if slot >= 0 && slot < Hfi_iface.region_count then begin
-        match Hfi_core.Region.validate ~slot region with
-        | Error e ->
-          reason ctx ~record i
-            ("invalid region descriptor (traps at runtime): "
-            ^ Hfi_core.Region.error_to_string e);
-          regions.(slot) <- Vstate.Runknown
-        | Ok () ->
-          regions.(slot) <- (if gate = `Trusted then Vstate.Rknown region else Vstate.Runknown)
-      end
-      else if slot >= Hfi_iface.region_count && slot < 2 * Hfi_iface.region_count then
-        (* inactive bank; harmless while bank switching stays unmodeled
-           (any switch_on_exit enter already degrades to Unknown) *)
-        ()
-      else reason ctx ~record i "region slot out of range (traps at runtime)"
-    end
-    | Uop.Ohfi_clear_region slot -> begin
-      let gate = region_write_gate i in
-      if slot >= 0 && slot < Hfi_iface.region_count then
-        regions.(slot) <- (if gate = `Trusted then Vstate.Runset else Vstate.Runknown)
-    end
-    | Uop.Ohfi_clear_all -> begin
-      let gate = region_write_gate i in
-      Array.fill regions 0 Hfi_iface.region_count
-        (if gate = `Trusted then Vstate.Runset else Vstate.Runknown)
-    end
-    | Uop.Ohfi_get_region { d; _ } -> set_reg d Domain.top
-    | Uop.Ocpuid ->
-      List.iter
-        (fun r -> set_reg (Reg.index r) (Domain.const 0))
-        [ Reg.RAX; Reg.RBX; Reg.RCX; Reg.RDX ]
-    | Uop.Ordtsc d | Uop.Ordmsr d -> set_reg d Domain.top
-    | Uop.Oclflush _ (* cache maintenance, not a data access *)
-    | Uop.Omfence | Uop.Onop | Uop.Ojmp _ | Uop.Ojcc _ | Uop.Ojmp_ind _ | Uop.Ohalt ->
-      ()
+    step ctx ~record sm i
   done;
   let out =
     {
-      Vstate.regs;
-      facts;
-      cmp_reg = !cmp_reg;
-      cmp_rhs = !cmp_rhs;
-      sandbox = !sandbox;
-      regions;
+      Vstate.regs = sm.regs;
+      facts = sm.facts;
+      cmp_reg = sm.cmp_reg;
+      cmp_rhs = sm.cmp_rhs;
+      sandbox = sm.sandbox;
+      regions = sm.regions;
     }
   in
   match b.term with
@@ -333,50 +409,35 @@ let simulate ctx ~record (st0 : Vstate.t) (b : Cfg.block) =
   | Cfg.Tcall { target; _ } ->
     count_branch ctx ~record;
     [ (target, out) ]
-  | Cfg.Tcond { taken; fall } ->
+  | Cfg.Tcond { taken; fall } -> (
     count_branch ctx ~record;
     let cond =
       match ctx.uops.(b.last).Uop.op with Uop.Ojcc { cond; _ } -> cond | _ -> assert false
     in
-    let refined c =
-      if !cmp_reg < 0 then Some out
-      else begin
-        let r = Domain.refine c regs.(!cmp_reg) ~rhs:!cmp_rhs in
-        if Domain.is_bot r then None
-        else begin
-          let regs' = Array.copy regs in
-          regs'.(!cmp_reg) <- r;
-          (* loop-aware range recovery: a compare on a derived value
-             ([cmp 2*i, n]) bounds the underlying counter through the
-             affine fact *)
-          (match facts.(!cmp_reg) with
-          | Some f when f.base <> !cmp_reg ->
-            regs'.(f.base) <- Rel.refine_base f ~refined:r regs'.(f.base)
-          | _ -> ());
-          Some { out with Vstate.regs = regs' }
-        end
-      end
-    in
-    let taken_edge = match refined cond with Some s -> [ (taken, s) ] | None -> [] in
     let fall_edge =
       match fall with
       | None -> []
       | Some f -> (
-        match refined (Instr.negate_cond cond) with Some s -> [ (f, s) ] | None -> [])
+        match refine_edge out (Instr.negate_cond cond) with Some s -> [ (f, s) ] | None -> [])
     in
-    taken_edge @ fall_edge
+    match refine_edge out cond with Some s -> (taken, s) :: fall_edge | None -> fall_edge)
   | Cfg.Tjump_ind | Cfg.Tcall_ind _ -> begin
     let r =
       match ctx.uops.(b.last).Uop.op with
       | Uop.Ojmp_ind r | Uop.Ocall_ind r -> r
       | _ -> assert false
     in
-    match Domain.singleton regs.(r) with
-    | None ->
+    if not (Domain.is_singleton sm.regs.(r)) then begin
       reason ctx ~record b.last "unresolved indirect branch target";
       []
-    | Some addr -> (
-      match Hashtbl.find_opt ctx.addr_index addr with
+    end
+    else begin
+      let addr = Domain.lower sm.regs.(r) in
+      let target =
+        if addr < ctx.spec.code_base then None
+        else Program.index_of_byte ctx.prog (addr - ctx.spec.code_base)
+      in
+      match target with
       | None ->
         viol ctx ~record Report.Cfi b.last
           (Printf.sprintf "indirect target 0x%x is not an instruction boundary" addr);
@@ -391,7 +452,8 @@ let simulate ctx ~record (st0 : Vstate.t) (b : Cfg.block) =
         else begin
           reason ctx ~record b.last "indirect target lands mid-block (not analyzed)";
           []
-        end)
+        end
+    end
   end
   | Cfg.Tret -> List.map (fun rp -> (rp, out)) ctx.cfg.Cfg.ret_points
   | Cfg.Tout t ->

@@ -19,10 +19,14 @@ val windows : Hfi_sfi.Strategy.t -> window list
     [~record] pass fills. *)
 type ctx = {
   spec : spec;
+  prog : Program.t;  (** resolves indirect targets ({!Program.index_of_byte}) *)
   uops : Uop.t array;
   cfg : Cfg.t;
   byte_size : int;
-  addr_index : (int, int) Hashtbl.t;
+  imm : Domain.t array;
+      (** per instruction, the constant its immediate operand denotes (a
+          source immediate or a memory displacement), built once so block
+          visits allocate none *)
   wins : window list;
   dyn_edges : (int * int, unit) Hashtbl.t;
   mutable viols : Report.violation list;
@@ -32,7 +36,8 @@ type ctx = {
 }
 
 val make_ctx : spec -> Program.t -> ctx
-(** Decode, build the CFG and the fetch-address index; empty logs. *)
+(** Decode, build the CFG and the immediate-operand constants; empty
+    logs. *)
 
 val reason : ctx -> record:bool -> int -> string -> unit
 val count_branch : ctx -> record:bool -> unit
@@ -41,5 +46,7 @@ val simulate : ctx -> record:bool -> Vstate.t -> Cfg.block -> (int * Vstate.t) l
 (** Simulate one block from an in-state and return the per-out-edge
     contributions (conditional edges branch-refined, including backward
     refinement through affine facts; indirect edges resolved through
-    the address index and logged in [dyn_edges]). With [~record:true],
-    every discharged or failed obligation is logged in the context. *)
+    the program's byte-offset index and logged in [dyn_edges]). With
+    [~record:true], every discharged or failed obligation is logged in
+    the context. The in-state is not modified; the out-states may share
+    its unchanged arrays (see {!Vstate}). *)

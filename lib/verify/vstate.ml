@@ -25,37 +25,94 @@ let join_rstate a b =
   | Rknown r1, Rknown r2 when r1 = r2 -> a
   | _ -> Runknown
 
-let join_cmp a b =
-  if a.cmp_reg >= 0 && a.cmp_reg = b.cmp_reg then (a.cmp_reg, Domain.join a.cmp_rhs b.cmp_rhs)
-  else (-1, Domain.top)
+(* The result arrays of a join or widening start out as the left
+   operand's own array and are copied only at the first element that
+   moves, so a join that changes nothing allocates nothing. *)
+
+(* [f a.(i) b.(i)] for every [i >= from], into [a] or a copy of it *)
+let rec map2_keep f a b from =
+  if from = Array.length a then a
+  else begin
+    let x = f a.(from) b.(from) in
+    if x == a.(from) then map2_keep f a b (from + 1)
+    else begin
+      let out = Array.copy a in
+      out.(from) <- x;
+      for i = from + 1 to Array.length a - 1 do
+        out.(i) <- f a.(i) b.(i)
+      done;
+      out
+    end
+  end
+
+(* [f r a.facts a.regs b.facts b.regs] for every register [r >= from]
+   ([Rel.join_facts] or [Rel.widen_facts]), into [a.facts] or a copy *)
+let rec facts_keep f a b from =
+  if from = Array.length a.facts then a.facts
+  else begin
+    let x = f from a.facts a.regs b.facts b.regs in
+    if x == a.facts.(from) then facts_keep f a b (from + 1)
+    else begin
+      let out = Array.copy a.facts in
+      out.(from) <- x;
+      for r = from + 1 to Array.length out - 1 do
+        out.(r) <- f r a.facts a.regs b.facts b.regs
+      done;
+      out
+    end
+  end
+
+(* Rebuild [a] from new components, or return [a] itself when every
+   component is physically [a]'s own. *)
+let with_parts a ~regs ~facts ~cmp_reg ~cmp_rhs ~sandbox ~regions =
+  if
+    regs == a.regs && facts == a.facts && cmp_reg = a.cmp_reg && cmp_rhs == a.cmp_rhs
+    && sandbox = a.sandbox && regions == a.regions
+  then a
+  else { regs; facts; cmp_reg; cmp_rhs; sandbox; regions }
+
+(* The pending compare survives a join only when both sides hold one on
+   the same register; its right-hand sides join like any value. *)
+let join_cmp_rhs a b =
+  if a.cmp_reg >= 0 && a.cmp_reg = b.cmp_reg then Domain.join a.cmp_rhs b.cmp_rhs
+  else if Domain.equal a.cmp_rhs Domain.top then a.cmp_rhs
+  else Domain.top
+
+let join_cmp_reg a b = if a.cmp_reg >= 0 && a.cmp_reg = b.cmp_reg then a.cmp_reg else -1
 
 let join a b =
-  let cmp_reg, cmp_rhs = join_cmp a b in
-  {
-    regs = Array.init (Array.length a.regs) (fun i -> Domain.join a.regs.(i) b.regs.(i));
-    facts =
-      Array.init (Array.length a.facts) (fun r -> Rel.join_facts r a.facts a.regs b.facts b.regs);
-    cmp_reg;
-    cmp_rhs;
-    sandbox = join_sandbox a.sandbox b.sandbox;
-    regions = Array.init (Array.length a.regions) (fun i -> join_rstate a.regions.(i) b.regions.(i));
-  }
+  with_parts a
+    ~regs:(map2_keep Domain.join a.regs b.regs 0)
+    ~facts:(facts_keep Rel.join_facts a b 0)
+    ~cmp_reg:(join_cmp_reg a b) ~cmp_rhs:(join_cmp_rhs a b)
+    ~sandbox:(join_sandbox a.sandbox b.sandbox)
+    ~regions:(map2_keep join_rstate a.regions b.regions 0)
 
 let widen ~thresholds old next =
-  let cmp_reg, cmp_rhs = join_cmp old next in
-  {
-    regs =
-      Array.init (Array.length old.regs) (fun i ->
-          Rel.widen_dom ~thresholds old.regs.(i) next.regs.(i));
-    facts =
-      Array.init (Array.length old.facts) (fun r ->
-          Rel.widen_facts r old.facts old.regs next.facts next.regs);
-    cmp_reg;
-    cmp_rhs;
-    sandbox = join_sandbox old.sandbox next.sandbox;
-    regions =
-      Array.init (Array.length old.regions) (fun i -> join_rstate old.regions.(i) next.regions.(i));
-  }
+  with_parts old
+    ~regs:(map2_keep (Rel.widen_dom ~thresholds) old.regs next.regs 0)
+    ~facts:(facts_keep Rel.widen_facts old next 0)
+    ~cmp_reg:(join_cmp_reg old next) ~cmp_rhs:(join_cmp_rhs old next)
+    ~sandbox:(join_sandbox old.sandbox next.sandbox)
+    ~regions:(map2_keep join_rstate old.regions next.regions 0)
+
+(* Structural equality — the meaning of polymorphic [=] on states —
+   short-circuiting on physically shared components, which [join] and
+   [widen] return whenever nothing moved. *)
+let rec equal_from eq a b i = i = Array.length a || (eq a.(i) b.(i) && equal_from eq a b (i + 1))
+let equal_arr eq a b = a == b || (Array.length a = Array.length b && equal_from eq a b 0)
+
+(* facts and region states: mostly [None]/constant constructors, which
+   the physical test settles without the generic compare *)
+let same a b = a == b || a = b
+
+let equal a b =
+  a == b
+  || a.cmp_reg = b.cmp_reg && a.sandbox = b.sandbox
+     && Domain.equal a.cmp_rhs b.cmp_rhs
+     && equal_arr Domain.equal a.regs b.regs
+     && equal_arr same a.facts b.facts
+     && equal_arr same a.regions b.regions
 
 let initial () =
   let regs = Array.make Reg.count (Domain.const 0) in
@@ -77,10 +134,7 @@ let initial () =
 let leq_sandbox a b = b = Smaybe || a = b
 let leq_rstate a b = b = Runknown || a = b
 
-let leq_fact (a : t) r (f : Rel.fact) =
-  match Rel.justify_offsets a.facts a.regs r f with
-  | Some (lo, hi) -> lo >= f.lo && hi <= f.hi
-  | None -> false
+let leq_fact (a : t) r (f : Rel.fact) = Rel.entails a.facts a.regs r f
 
 let leq a b =
   Array.length a.regs = Array.length b.regs

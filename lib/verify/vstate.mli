@@ -5,7 +5,13 @@
     the active-bank region registers. Proof artifacts record one value
     per basic-block entry, so the JSON round-trip here is exact for the
     full 63-bit integer range (bounds are serialized as decimal
-    strings). *)
+    strings).
+
+    States are immutable once built: nothing may write into the arrays
+    of a state another component can see. {!join} and {!widen} rely on
+    this — they return their first operand itself, or share its arrays,
+    whenever the corresponding component did not move — and {!equal}
+    short-circuits on such physically shared components. *)
 
 type sandbox = Sout | Sin | Smaybe
 
@@ -24,14 +30,23 @@ val initial : unit -> t
 (** Registers [const 0] except a [Stackish] RSP; no facts, no pending
     compare, outside the sandbox, all region slots unset. *)
 
+val equal : t -> t -> bool
+(** Structural equality, the meaning of polymorphic [=] on states;
+    allocates nothing and returns at once on physically equal states or
+    components. *)
+
 val join : t -> t -> t
 (** Pointwise join; facts survive only when both sides entail them, and
     new facts are inferred from register pairs that moved in lockstep
-    (see {!Rel.join_facts}). *)
+    (see {!Rel.join_facts}). Not associative (fact inference depends on
+    which side a fact is born on), so callers fold joins in a fixed
+    order. Returns the first operand itself when it already covers the
+    second, and otherwise shares each of its arrays that did not move. *)
 
 val widen : thresholds:int array -> t -> t -> t
 (** Widening: intervals climb the sorted threshold ladder
-    ({!Rel.widen_dom}), facts are kept only once stable. *)
+    ({!Rel.widen_dom}), facts are kept only once stable. Shares the old
+    state's unchanged components like {!join}. *)
 
 val leq : t -> t -> bool
 (** Inclusion of denoted concrete states — the per-edge check the proof

@@ -326,6 +326,34 @@ let test_liveness_dead_mask_matches_rebuild () =
       check_int (name ^ ": survivors") (Program.length rebuilt) !j)
     (Lazy.force liveness_corpus)
 
+(* DCE prepares liveness once per run and re-solves the prepared value
+   each round. After every round, on the whole corpus, that must give
+   exactly a fresh [Liveness.compute] under the same dead set; and the
+   rounds replayed here must delete what [Dce.run_fix] deletes. *)
+let test_liveness_prepared_reuse () =
+  List.iter
+    (fun (name, prog) ->
+      let uops = decode prog in
+      let prepared = Liveness.prepare uops (Cfg.build uops) in
+      let dead = Array.make (Array.length uops) false in
+      let rec rounds total round =
+        let live = Liveness.solve ~dead prepared in
+        let fresh = Liveness.compute ~dead uops (Cfg.build uops) in
+        if live.Liveness.live_in <> fresh.Liveness.live_in
+           || live.Liveness.live_out <> fresh.Liveness.live_out
+        then Alcotest.failf "%s: round %d: prepared liveness differs from a fresh solve" name round;
+        if round >= Dce.max_rounds then total
+        else begin
+          let count = Dce.sweep uops live dead in
+          if count = 0 then total else rounds (total + count) (round + 1)
+        end
+      in
+      let total = rounds 0 0 in
+      let _, deleted = Dce.run_fix ~code_base:Layout.code_base prog in
+      if total <> deleted then
+        Alcotest.failf "%s: replayed rounds delete %d, run_fix %d" name total deleted)
+    (Lazy.force liveness_corpus)
+
 (* ------------------------------------------------------------------ *)
 (* Rewriting and DCE                                                    *)
 
@@ -653,6 +681,8 @@ let suite =
       test_liveness_matches_round_robin;
     Alcotest.test_case "liveness: dead mask == rebuilt program" `Quick
       test_liveness_dead_mask_matches_rebuild;
+    Alcotest.test_case "liveness: prepared once == fresh, every DCE round" `Quick
+      test_liveness_prepared_reuse;
     Alcotest.test_case "rewrite: constant folding" `Quick test_rewrite_const_fold;
     Alcotest.test_case "rewrite: strength reduction" `Quick test_rewrite_strength_reduction;
     Alcotest.test_case "rewrite: add-zero identity" `Quick test_rewrite_add_zero_identity;

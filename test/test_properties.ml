@@ -682,6 +682,9 @@ let prop_page_table_matches_direct_lookups =
 (* --- Relational verifier domain: soundness of join and widening --- *)
 
 module VDomain = Hfi_opt.Domain
+
+(* concretization hull through the allocation-free views *)
+let vbounds d = if VDomain.has_bounds d then Some (VDomain.lower d, VDomain.upper d) else None
 module VRel = Hfi_verify.Rel
 module VReg = Hfi_isa.Reg
 
@@ -700,7 +703,7 @@ let prop_domain_join_sound =
     (fun (a, b) ->
       let j = VDomain.join a b in
       let covers d =
-        match (VDomain.bounds d, VDomain.bounds j) with
+        match (vbounds d, vbounds j) with
         | Some (lo, hi), Some (jlo, jhi) -> jlo <= lo && hi <= jhi
         | _, None -> true (* top covers everything *)
         | None, _ -> false
@@ -756,7 +759,7 @@ let prop_threshold_widening_terminates =
       List.iter
         (fun g ->
           let next =
-            match VDomain.bounds !state with
+            match vbounds !state with
             | Some (lo, hi) -> VDomain.itv (lo - g) (hi + g)
             | None -> VDomain.top
           in
@@ -770,6 +773,119 @@ let prop_threshold_widening_terminates =
         grows;
       (* two rungs per bound direction cannot exceed the ladder budget *)
       !ok && !steps <= (2 * budget))
+
+(* The allocation-free views ([has_bounds]/[lower]/[upper]/
+   [is_singleton]) against the concretization written out case by case,
+   over every constructor at the integer extremes; [within]/[disjoint]
+   and [equal] over every pair; and join soundness across constructors
+   now that [join] may hand back one of its inputs. *)
+let domain_extremes =
+  VDomain.
+    [
+      Bot; Stackish; top; const 0; const min_int; const max_int; const (-1);
+      itv min_int 0; itv 0 max_int; itv min_int (min_int + 1); itv (max_int - 1) max_int;
+      itv (-5) 5; masked ~base:0 ~mask:max_int; masked ~base:(1 lsl 61) ~mask:1;
+      masked ~base:(max_int land lnot 0xff) ~mask:0xff; masked ~base:0x100 ~mask:0xff;
+      (* a denormalized singleton mask: still a singleton *)
+      Masked { base = 5; mask = 0 };
+    ]
+
+let reference_bounds = function
+  | VDomain.Bot | VDomain.Stackish -> None
+  | VDomain.Itv { lo; hi } -> Some (lo, hi)
+  | VDomain.Masked { base; mask } -> Some (base, base + mask)
+
+let reference_singleton = function
+  | VDomain.Itv { lo; hi } when lo = hi -> Some lo
+  | VDomain.Masked { base; mask } when mask = 0 -> Some base
+  | _ -> None
+
+let test_domain_views_case_split () =
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun d ->
+      let name = VDomain.to_string d in
+      if vbounds d <> reference_bounds d then Alcotest.failf "%s: bounds view" name;
+      if reference_bounds d = None && not (raises (fun () -> VDomain.lower d) && raises (fun () -> VDomain.upper d))
+      then Alcotest.failf "%s: lower/upper must refuse a value without bounds" name;
+      (match reference_singleton d with
+      | Some n ->
+        if not (VDomain.is_singleton d && VDomain.lower d = n && VDomain.upper d = n) then
+          Alcotest.failf "%s: singleton view" name
+      | None -> if VDomain.is_singleton d then Alcotest.failf "%s: not a singleton" name);
+      List.iter
+        (fun w ->
+          let lo, hi = match reference_bounds w with Some b -> b | None -> (0, 0) in
+          let within =
+            match reference_bounds d with Some (l, h) -> l >= lo && h <= hi | None -> d = VDomain.Bot
+          and disjoint =
+            match reference_bounds d with Some (l, h) -> h < lo || l > hi | None -> d = VDomain.Bot
+          in
+          if VDomain.within d ~lo ~hi <> within then Alcotest.failf "%s: within [%d, %d]" name lo hi;
+          if VDomain.disjoint d ~lo ~hi <> disjoint then
+            Alcotest.failf "%s: disjoint [%d, %d]" name lo hi;
+          if VDomain.equal d w <> (d = w) then
+            Alcotest.failf "%s vs %s: equal" name (VDomain.to_string w);
+          let j = VDomain.join d w in
+          let covers x =
+            match (x, reference_bounds x, reference_bounds j) with
+            | VDomain.Bot, _, _ -> true
+            | VDomain.Stackish, _, _ -> j = VDomain.Stackish || j = VDomain.top
+            | _, Some (l, h), Some (jl, jh) -> jl <= l && h <= jh
+            | _ -> false
+          in
+          if not (covers d && covers w) then
+            Alcotest.failf "join %s %s = %s does not cover both" name (VDomain.to_string w)
+              (VDomain.to_string j))
+        domain_extremes)
+    domain_extremes
+
+(* [Vstate.equal] against polymorphic structural equality on random
+   state pairs: independent states, states drawn from small pools (so
+   equal components are common), states sharing components physically,
+   and a join with its left operand (which [join] may return as is or
+   share arrays with). *)
+let prop_vstate_equal_is_structural =
+  let module VV = Hfi_verify.Vstate in
+  let open QCheck.Gen in
+  let gen_dom =
+    oneofl VDomain.[ Bot; Stackish; top; const 0; const 1; itv 0 7; masked ~base:8 ~mask:3 ]
+  in
+  let gen_fact =
+    frequency
+      [
+        (3, return None);
+        ( 1,
+          map3
+            (fun base k lo -> Some { VRel.base; k; lo; hi = lo + 1 })
+            (int_range 0 2) (oneofl [ 1; 2 ]) (int_range 0 1) );
+      ]
+  in
+  let region =
+    Hfi_isa.Hfi_iface.Implicit_data
+      { base_prefix = 0x10000; lsb_mask = 0xffff; permission_read = true; permission_write = false }
+  in
+  let gen_rstate = oneofl [ VV.Runset; VV.Runknown; VV.Rknown region ] in
+  let gen_state =
+    map3
+      (fun (regs, facts) (cmp_reg, cmp_rhs) (sandbox, regions) ->
+        { VV.regs; facts; cmp_reg; cmp_rhs; sandbox; regions })
+      (pair (array_repeat VReg.count gen_dom) (array_repeat VReg.count gen_fact))
+      (pair (int_range (-1) 1) gen_dom)
+      (pair (oneofl [ VV.Sout; VV.Sin; VV.Smaybe ]) (array_repeat Hfi_isa.Hfi_iface.region_count gen_rstate))
+  in
+  QCheck.Test.make ~name:"Vstate.equal is structural equality" ~count:300
+    (QCheck.make (pair gen_state gen_state))
+    (fun (a, b) ->
+      let pairs =
+        [
+          (a, b); (a, a); (a, { a with VV.regs = Array.copy a.VV.regs });
+          ({ b with VV.regs = a.VV.regs }, a); ({ b with VV.facts = a.VV.facts }, b);
+          ({ a with VV.cmp_rhs = b.VV.cmp_rhs; regions = b.VV.regions }, a);
+          ({ a with VV.sandbox = b.VV.sandbox }, a); (VV.join a b, a); (VV.join a a, a);
+        ]
+      in
+      List.for_all (fun (x, y) -> VV.equal x y = (x = y) && VV.equal y x = (y = x)) pairs)
 
 (* --- Proof artifacts: negative controls --- *)
 
@@ -799,7 +915,7 @@ let test_proof_tampered_invariant () =
       VVstate.regs =
         Array.map
           (fun d ->
-            match Hfi_opt.Domain.bounds d with
+            match vbounds d with
             | Some (lo, hi) when lo < hi && lo > min_int -> Hfi_opt.Domain.itv (lo + 1) hi
             | _ -> d)
           st.VVstate.regs;
@@ -861,6 +977,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_domain_join_sound;
     QCheck_alcotest.to_alcotest prop_fact_join_sound;
     QCheck_alcotest.to_alcotest prop_threshold_widening_terminates;
+    Alcotest.test_case "domain views agree with the case split at the extremes" `Quick
+      test_domain_views_case_split;
+    QCheck_alcotest.to_alcotest prop_vstate_equal_is_structural;
     Alcotest.test_case "proofcheck rejects a tampered invariant" `Quick
       test_proof_tampered_invariant;
     Alcotest.test_case "proofcheck rejects a truncated artifact" `Quick

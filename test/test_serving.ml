@@ -164,7 +164,11 @@ let test_pool_warm_cold_and_degradation () =
 
 (* --- Verified-load admission gate --------------------------------- *)
 
+(* The image-key checks below compare the optimized lowering against
+   the unoptimized one, so the optimizer switch must be on whatever
+   HFI_WASM_OPT says. *)
 let test_admission_gate_admits_and_caches () =
+  Hfi_opt.Driver.with_enabled true @@ fun () ->
   let gate = Admission.create () in
   let w = (List.hd Hfi_workloads.Faas_workloads.all).Hfi_workloads.Faas_workloads.workload in
   check_bool "catalog kernel admitted" true
@@ -336,10 +340,13 @@ let test_serve_jobs_determinism () =
 (* Golden pin of [small_chaos]: every counter, and the exact bits of
    goodput and the latency percentiles. Shards share measured service
    tables and gates remember compiled images; neither may move a
-   modeled value. *)
+   modeled value. The pins are of the optimized lowering, so the
+   optimizer switch is on whatever HFI_WASM_OPT says. *)
 let test_serve_small_chaos_pinned () =
   let pin strategy counters floats =
-    let r = Server.simulate ~jobs:1 small_chaos ~strategy in
+    let r =
+      Hfi_opt.Driver.with_enabled true (fun () -> Server.simulate ~jobs:1 small_chaos ~strategy)
+    in
     let c = r.Server.counters in
     let actual =
       Server.

@@ -78,6 +78,45 @@ let test_decode_metadata () =
         uops)
     (sample_instances ())
 
+(* Decode builds the register arrays without going through lists and
+   shares the empty and one-register ones between µops. Every Sightglass
+   and SPEC-like program under all four strategies must still decode to
+   exactly [Instr.reads]/[Instr.writes]; the first program is checked
+   again after all the others, so a decode that wrote into a shared
+   array would show up there. *)
+let test_decode_register_arrays () =
+  let expect regs = Array.of_list (List.map Reg.index regs) in
+  let check name (uops : Uop.t array) =
+    Array.iter
+      (fun (u : Uop.t) ->
+        if u.Uop.reads <> expect (Instr.reads u.Uop.instr) then
+          Alcotest.failf "%s: instr %d: reads differ from Instr.reads" name u.Uop.index;
+        if u.Uop.writes <> expect (Instr.writes u.Uop.instr) then
+          Alcotest.failf "%s: instr %d: writes differ from Instr.writes" name u.Uop.index)
+      uops
+  in
+  let spec =
+    List.map
+      (fun (p : Hfi_workloads.Spec.profile) ->
+        (p.Hfi_workloads.Spec.name, Hfi_workloads.Spec.workload p))
+      Hfi_workloads.Spec.profiles
+  in
+  let cells =
+    List.concat_map
+      (fun (name, w) -> List.map (fun s -> (name, s, w)) Strategy.all)
+      (Sightglass.all @ spec)
+  in
+  let decode_cell (name, s, w) =
+    let name = Printf.sprintf "%s/%s" name (Strategy.to_string s) in
+    let prog = Instance.build_program ~strategy:s ~optimize:false w in
+    (name, Uop.decode_fresh prog ~code_base:Hfi_wasm.Layout.code_base)
+  in
+  let first_name, first = decode_cell (List.hd cells) in
+  check first_name first;
+  List.iter (fun c -> let name, uops = decode_cell c in check name uops) (List.tl cells);
+  check (first_name ^ " (again)") first;
+  check_int "cells" (4 * (List.length Sightglass.all + List.length spec)) (List.length cells)
+
 let test_decode_memoized () =
   let inst = Instance.instantiate ~strategy:Strategy.Hfi (Sightglass.find "gimli") in
   let prog = Instance.program inst in
@@ -349,6 +388,8 @@ let suite =
   [
     Alcotest.test_case "dispatch_tier names the active tier" `Quick test_dispatch_tier_names;
     Alcotest.test_case "decode metadata matches Instr" `Quick test_decode_metadata;
+    Alcotest.test_case "decode register arrays match Instr (Sightglass, SPEC-like)" `Quick
+      test_decode_register_arrays;
     Alcotest.test_case "decode is memoized per program" `Quick test_decode_memoized;
     Alcotest.test_case "static successors agree with execution" `Quick
       test_static_successors_agree;
