@@ -17,14 +17,19 @@
      instruction's body (still skipping that instruction's insertion). *)
 
 type t = {
+  src : Program.t;
+  code_base : int;
   orig : Instr.t array;
   repl : Instr.t list option array;
   pre : Instr.t list array;
   mutable dirty : bool;
 }
 
-let create (orig : Instr.t array) =
+let create src ~code_base =
+  let orig = Program.instrs src in
   {
+    src;
+    code_base;
     orig;
     repl = Array.make (Array.length orig) None;
     pre = Array.make (Array.length orig) [];
@@ -49,41 +54,52 @@ let insert_before t i l =
 
 let changed t = t.dirty
 
+(* One pass lays the output out: [target_map.(i)] becomes where
+   instruction [i]'s body starts, [target_map.(n)] the output length.
+   A backward sweep then sends each deleted instruction to the next
+   surviving body, and one forward pass fills the output array. When the
+   source program's µops are memoized at [code_base], the output's memo
+   is seeded from them ([Uop.carry]): instructions copied unchanged keep
+   their µops, so the next pass does not decode the program again. *)
 let rebuild t =
   let n = Array.length t.orig in
-  let body i = match t.repl.(i) with Some l -> l | None -> [ t.orig.(i) ] in
-  let out = ref [] in
+  let target_map = Array.make (n + 1) 0 in
   let pos = ref 0 in
-  let body_start = Array.make (n + 1) 0 in
-  let body_len = Array.make n 0 in
   for i = 0 to n - 1 do
-    List.iter
-      (fun ins ->
-        out := ins :: !out;
-        incr pos)
-      t.pre.(i);
-    body_start.(i) <- !pos;
-    let b = body i in
-    body_len.(i) <- List.length b;
-    List.iter
-      (fun ins ->
-        out := ins :: !out;
-        incr pos)
-      b
+    pos := !pos + List.length t.pre.(i);
+    target_map.(i) <- !pos;
+    pos := !pos + (match t.repl.(i) with None -> 1 | Some l -> List.length l)
   done;
-  body_start.(n) <- !pos;
+  target_map.(n) <- !pos;
   (* branch to a deleted instruction falls to the next surviving one *)
-  let target_map = Array.make (n + 1) !pos in
   for i = n - 1 downto 0 do
-    target_map.(i) <- (if body_len.(i) > 0 then body_start.(i) else target_map.(i + 1))
+    match t.repl.(i) with Some [] -> target_map.(i) <- target_map.(i + 1) | _ -> ()
   done;
   let map tgt = if tgt >= 0 && tgt <= n then target_map.(tgt) else tgt in
-  let retarget (ins : Instr.t) =
-    match ins with
-    | Instr.Jmp tgt -> Instr.Jmp (map tgt)
-    | Instr.Jcc (c, tgt) -> Instr.Jcc (c, map tgt)
-    | Instr.Call tgt -> Instr.Call (map tgt)
-    | _ -> ins
+  let src_uops = Uop.memoized t.src ~code_base:t.code_base in
+  let out = Array.make !pos Instr.Nop in
+  let seeding = Option.is_some src_uops in
+  let origin = if seeding then Array.make !pos (-1) else [||] in
+  let j = ref 0 in
+  let put (ins : Instr.t) =
+    out.(!j) <-
+      (match ins with
+      | Instr.Jmp tgt -> Instr.Jmp (map tgt)
+      | Instr.Jcc (c, tgt) -> Instr.Jcc (c, map tgt)
+      | Instr.Call tgt -> Instr.Call (map tgt)
+      | _ -> ins);
+    incr j
   in
-  let arr = Array.of_list (List.rev !out) in
-  Program.of_instrs (Array.map retarget arr)
+  for i = 0 to n - 1 do
+    List.iter put t.pre.(i);
+    match t.repl.(i) with
+    | Some l -> List.iter put l
+    | None ->
+      if seeding then origin.(!j) <- i;
+      put t.orig.(i)
+  done;
+  let prog = Program.of_instrs out in
+  (match src_uops with
+  | Some uops -> Uop.carry uops ~origin prog ~code_base:t.code_base
+  | None -> ());
+  prog

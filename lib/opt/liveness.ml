@@ -14,9 +14,15 @@
    computed once by [prepare]. A [prepared] value is immutable and
    describes one decoded program: [solve] may run on it any number of
    times, with any dead set, and returns exactly what [compute] on the
-   same program and dead set returns. DCE prepares once per run and
-   solves once per round; [Regalloc] reads the kill masks as the
-   per-instruction write sets. *)
+   same program and dead set returns.
+
+   Two consumers share the block-level fixpoint [solve_blocks]. [solve]
+   expands it into per-instruction [live_in]/[live_out] arrays for
+   [Regalloc] (which also reads the kill masks as the per-instruction
+   write sets) and for the tests. DCE prepares once per run and, in
+   each round, walks the blocks itself from [block_out] without
+   building those arrays ([Dce.round]); [solve] followed by [Dce.sweep]
+   is the reference that round is tested against. *)
 
 let all_mask = (1 lsl Reg.count) - 1
 let rax_mask = 1 lsl Reg.index Reg.RAX
@@ -84,10 +90,16 @@ let rec push_all w = function
     push w b;
     push_all w rest
 
-(* [dead] marks instructions to treat as deleted: they neither read nor
-   write, exactly as if [Edit.rebuild] had dropped them. *)
-let solve ?dead p =
-  let n = Array.length p.uops in
+(* Registers live at the end of block [b], given each block's live-in. *)
+let block_out p blk_in b =
+  let blk = p.cfg.Cfg.blocks.(b) in
+  or_live_in blk_in (term_live blk) blk.Cfg.succs
+
+(* The block-level problem, shared by [solve] and [Dce.round]: each
+   block's live-in under [dead], which marks instructions to treat as
+   deleted — they neither read nor write, exactly as if [Edit.rebuild]
+   had dropped them. *)
+let solve_blocks ?dead p =
   let blocks = p.cfg.Cfg.blocks in
   let nb = Array.length blocks in
   (* block transfer: live_in = gen | (live_out & ~kill) *)
@@ -103,7 +115,6 @@ let solve ?dead p =
     done
   done;
   let blk_in = Array.make nb 0 in
-  let block_out b = or_live_in blk_in (term_live blocks.(b)) blocks.(b).Cfg.succs in
   let w = { stack = Array.make nb 0; on = Array.make nb false; top = 0 } in
   (* the last block first: liveness flows backwards *)
   for b = 0 to nb - 1 do
@@ -113,17 +124,26 @@ let solve ?dead p =
     w.top <- w.top - 1;
     let b = w.stack.(w.top) in
     w.on.(b) <- false;
-    let ni = gen.(b) lor (block_out b land lnot kill.(b)) in
+    let ni = gen.(b) lor (block_out p blk_in b land lnot kill.(b)) in
     if ni <> blk_in.(b) then begin
       blk_in.(b) <- ni;
       push_all w p.preds.(b)
     end
   done;
+  blk_in
+
+(* Per-instruction solution: each block's live-out walked backwards.
+   Kept for [Regalloc] and as the reference DCE's rounds are tested
+   against ([Dce.sweep]). *)
+let solve ?dead p =
+  let n = Array.length p.uops in
+  let blocks = p.cfg.Cfg.blocks in
+  let blk_in = solve_blocks ?dead p in
   let live_in = Array.make n 0 in
   let live_out = Array.make n 0 in
-  for b = 0 to nb - 1 do
+  for b = 0 to Array.length blocks - 1 do
     let blk = blocks.(b) in
-    let live = ref (block_out b) in
+    let live = ref (block_out p blk_in b) in
     for i = blk.Cfg.last downto blk.Cfg.first do
       live_out.(i) <- !live;
       if not (is_dead dead i) then live := !live land lnot p.kill.(i) lor p.gen.(i);

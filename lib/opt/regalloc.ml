@@ -154,7 +154,7 @@ let allocate ~code_base ~allocatable ~avail ~scratch ~spill_base prog =
     let is_spilled r = Hashtbl.mem slot_of r
     and phys_of r = Hashtbl.find_opt assign r in
     let reloads = ref 0 and writebacks = ref 0 in
-    let edit = Edit.create (Program.instrs prog) in
+    let edit = Edit.create prog ~code_base in
     let overflow = ref false in
     for i = 0 to n - 1 do
       let u = uops.(i) in

@@ -44,7 +44,11 @@ let vn_const ctx c =
     v
 
 let opaque_state ctx =
-  { reg_vn = Array.init Reg.count (fun _ -> fresh ctx); av = Array.make Reg.count Domain.top }
+  let reg_vn = Array.make Reg.count 0 in
+  for r = 0 to Reg.count - 1 do
+    reg_vn.(r) <- fresh ctx
+  done;
+  { reg_vn; av = Array.make Reg.count Domain.top }
 
 let entry_state ctx =
   let st = { reg_vn = Array.make Reg.count (vn_const ctx 0); av = Array.make Reg.count (Domain.const 0) } in
@@ -87,9 +91,10 @@ let run ~code_base prog =
   let cfg = Cfg.build uops in
   let nb = Array.length cfg.Cfg.blocks in
   let preds = Dom.preds_of cfg in
-  let dom = Dom.compute cfg in
   let order = Dom.rpo cfg in
-  let edit = Edit.create (Program.instrs prog) in
+  let rpo_index = Array.make nb (-1) in
+  Array.iteri (fun k b -> rpo_index.(b) <- k) order;
+  let edit = Edit.create prog ~code_base in
   let ctx =
     {
       nextvn = 0;
@@ -107,8 +112,8 @@ let run ~code_base prog =
     let st =
       if b = 0 then entry_state ctx
       else begin
-        match List.sort_uniq compare preds.(b) with
-        | [ p ] when processed.(p) && dom.Dom.rpo_index.(p) < dom.Dom.rpo_index.(b) -> (
+        match List.sort_uniq Int.compare preds.(b) with
+        | [ p ] when processed.(p) && rpo_index.(p) < rpo_index.(b) -> (
           match out_states.(p) with
           | Some (s : vstate) -> { reg_vn = Array.copy s.reg_vn; av = Array.copy s.av }
           | None -> opaque_state ctx)
@@ -266,6 +271,8 @@ let run ~code_base prog =
       | Uop.Ostore { midx; mscale; sreg; _ } -> (
         match Edit.original edit i with
         | Instr.Store (w, m, src) ->
+          (* [fold_mem] and the immediate substitution allocate exactly
+             when they change something, so [!=] detects a change *)
           let m' = match fold_mem midx mscale m with Some m' -> m' | None -> m in
           let src' =
             match src with
@@ -274,7 +281,7 @@ let run ~code_base prog =
               else src)
             | _ -> src
           in
-          if m' <> m || src' <> src then replace1 i (Instr.Store (w, m', src'))
+          if m' != m || src' != src then replace1 i (Instr.Store (w, m', src'))
         | _ -> ())
       | Uop.Ohload { bytes; d; midx; mscale; _ } ->
         (match Edit.original edit i with
@@ -295,7 +302,7 @@ let run ~code_base prog =
               else src)
             | _ -> src
           in
-          if m' <> m || src' <> src then replace1 i (Instr.Hstore (n, w, m', src'))
+          if m' != m || src' != src then replace1 i (Instr.Hstore (n, w, m', src'))
         | _ -> ())
       | Uop.Ocmp { d; sreg; _ } ->
         if sreg >= 0 && Domain.is_singleton st.av.(sreg) then

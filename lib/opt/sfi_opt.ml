@@ -132,7 +132,7 @@ let elide conv prog =
       Analysis.compute ~bound_cell:conv.bound_cell ~heap_limit:conv.heap_limit uops cfg
     in
     let preds = Dom.preds_of cfg in
-    let edit = Edit.create (Program.instrs prog) in
+    let edit = Edit.create prog ~code_base:conv.code_base in
     let count = ref 0 in
     let provable_limit =
       match conv.strategy with
@@ -154,7 +154,7 @@ let elide conv prog =
               if bi.(g.g_access) = b then true
               else
                 bi.(g.g_access - 1) = b
-                && List.sort_uniq compare preds.(bi.(g.g_access)) = [ b ]
+                && List.sort_uniq Int.compare preds.(bi.(g.g_access)) = [ b ]
             in
             if access_ok && bi.(g.g_access - 1) = b then begin
               let av = Analysis.ea_value regs ~midx:g.g_midx ~mscale:g.g_mscale ~mdisp:g.g_mdisp in
@@ -180,7 +180,7 @@ let reuse conv prog =
     let uops, cfg = decoded conv prog in
     let n = Array.length uops in
     let preds = Dom.preds_of cfg in
-    let edit = Edit.create (Program.instrs prog) in
+    let edit = Edit.create prog ~code_base:conv.code_base in
     let count = ref 0 in
     let fact = ref None in
     let writes_reg (u : Uop.t) r = Array.exists (fun w -> w = r) u.Uop.writes in
@@ -198,7 +198,7 @@ let reuse conv prog =
          path into the block comes from the block we just scanned *)
       (if at > 0 && Uop.is_block_head uops at then
          let b = cfg.Cfg.block_of_instr.(at) in
-         if List.sort_uniq compare preds.(b) <> [ cfg.Cfg.block_of_instr.(at - 1) ] then fact := None);
+         if List.sort_uniq Int.compare preds.(b) <> [ cfg.Cfg.block_of_instr.(at - 1) ] then fact := None);
       (match group_at conv uops at with
       | Some g ->
         let key = group_key g in
@@ -213,7 +213,7 @@ let reuse conv prog =
            it solely through this check *)
         (if Uop.is_block_head uops g.g_access then
            let ab = cfg.Cfg.block_of_instr.(g.g_access) in
-           if List.sort_uniq compare preds.(ab) <> [ cfg.Cfg.block_of_instr.(g.g_access - 1) ]
+           if List.sort_uniq Int.compare preds.(ab) <> [ cfg.Cfg.block_of_instr.(g.g_access - 1) ]
            then fact := None);
         (* the access itself may clobber the scratch (load into r15) *)
         kill_on uops.(g.g_access);
@@ -242,7 +242,7 @@ let hoist_once conv prog =
     let uops, cfg = decoded conv prog in
     let dom = Dom.compute cfg in
     let loops = Dom.loops cfg dom in
-    let edit = Edit.create (Program.instrs prog) in
+    let edit = Edit.create prog ~code_base:conv.code_base in
     let count = ref 0 in
     let blocks = cfg.Cfg.blocks in
     let try_loop (l : Dom.loop) =
@@ -251,7 +251,7 @@ let hoist_once conv prog =
       (* single outside predecessor, entering by falling through *)
       let outside = List.filter (fun p -> not (in_body p)) dom.Dom.preds.(l.Dom.header) in
       let fallthrough_entry =
-        match List.sort_uniq compare outside with
+        match List.sort_uniq Int.compare outside with
         | [ p ] -> (
           p = l.Dom.header - 1
           &&

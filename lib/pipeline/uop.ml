@@ -308,26 +308,33 @@ let reg_array = function
   | [ r ] -> singletons.(Reg.index r)
   | regs -> fill_regs (Array.make (List.length regs) 0) 0 regs
 
+(* One instruction's µop. Every field of every decoded program is
+   defined here: [decode_fresh] lowers each instruction through it, and
+   [carry] through it for each instruction it cannot copy. *)
+let lower ins ~index ~fetch_addr ~block_last =
+  {
+    op = lower_op ins;
+    instr = ins;
+    index;
+    length = Instr.length ins;
+    fetch_addr;
+    reads = reg_array (Instr.reads ins);
+    writes = reg_array (Instr.writes ins);
+    off_critical = off_critical_of ins;
+    base_serializing = (match ins with Instr.Cpuid | Instr.Mfence -> true | _ -> false);
+    is_cpuid = (match ins with Instr.Cpuid -> true | _ -> false);
+    latency = latency_of ins;
+    cost_class = cost_class_of ins;
+    block_last;
+  }
+
 let decode_fresh prog ~code_base =
   let instrs = Program.instrs prog in
   let lasts = block_lasts instrs in
   Array.mapi
     (fun index ins ->
-      {
-        op = lower_op ins;
-        instr = ins;
-        index;
-        length = Instr.length ins;
-        fetch_addr = code_base + Program.byte_offset prog index;
-        reads = reg_array (Instr.reads ins);
-        writes = reg_array (Instr.writes ins);
-        off_critical = off_critical_of ins;
-        base_serializing = (match ins with Instr.Cpuid | Instr.Mfence -> true | _ -> false);
-        is_cpuid = (match ins with Instr.Cpuid -> true | _ -> false);
-        latency = latency_of ins;
-        cost_class = cost_class_of ins;
-        block_last = lasts.(index);
-      })
+      lower ins ~index ~fetch_addr:(code_base + Program.byte_offset prog index)
+        ~block_last:lasts.(index))
     instrs
 
 (* ------------------------------------------------------------------ *)
@@ -387,10 +394,35 @@ let block_head uops i =
    payload is an [exn] so [Program] needs no knowledge of this type. *)
 exception Decoded of int * t array
 
-let decode prog ~code_base =
+let memoized prog ~code_base =
   match Program.decoded prog with
-  | Some (Decoded (base, uops)) when base = code_base -> uops
-  | _ ->
+  | Some (Decoded (base, uops)) when base = code_base -> Some uops
+  | _ -> None
+
+let decode prog ~code_base =
+  match memoized prog ~code_base with
+  | Some uops -> uops
+  | None ->
     let uops = decode_fresh prog ~code_base in
     Program.set_decoded prog (Decoded (code_base, uops));
     uops
+
+(* An instruction copied from [src] keeps its µop's position-independent
+   fields (operands, cost metadata); [index], [fetch_addr] and
+   [block_last] depend on the new layout and are recomputed. The copy is
+   taken only when the instruction is physically the one [src] decoded,
+   so a retargeted branch or a replacement is lowered afresh. *)
+let carry src ~origin prog ~code_base =
+  let instrs = Program.instrs prog in
+  let lasts = block_lasts instrs in
+  let uops =
+    Array.mapi
+      (fun index ins ->
+        let fetch_addr = code_base + Program.byte_offset prog index in
+        let block_last = lasts.(index) in
+        let o = origin.(index) in
+        if o >= 0 && src.(o).instr == ins then { (src.(o)) with index; fetch_addr; block_last }
+        else lower ins ~index ~fetch_addr ~block_last)
+      instrs
+  in
+  Program.set_decoded prog (Decoded (code_base, uops))

@@ -10,7 +10,9 @@
     decoded form cannot change modeled cycle counts.
 
     The decoded array is memoized on the program itself (via
-    {!Hfi_isa.Program.set_decoded}), keyed by the code base address. *)
+    {!Hfi_isa.Program.set_decoded}), keyed by the code base address.
+    Programs the optimizer rebuilds arrive with their µops already
+    memoized ({!carry}), equal to what {!decode_fresh} gives. *)
 
 (** Pre-resolved operand form of [Instr.t]. Register operands are
     [Reg.index] ints; -1 means "absent" (no base/index register,
@@ -100,6 +102,24 @@ val decode : Program.t -> code_base:int -> t array
 
 val decode_fresh : Program.t -> code_base:int -> t array
 (** Always re-decode, bypassing the memo (tests). *)
+
+val memoized : Program.t -> code_base:int -> t array option
+(** The memo, when it holds µops decoded at [code_base]; never decodes. *)
+
+val carry : t array -> origin:int array -> Program.t -> code_base:int -> unit
+(** [carry src ~origin prog ~code_base] seeds [prog]'s memo from the
+    µops [src] of the program it was rebuilt from. [origin.(j)] is the
+    source index of instruction [j], or -1 when it is new. When
+    instruction [j] is physically [src.(origin.(j)).instr], its µop is
+    that one with [index], [fetch_addr] and [block_last] recomputed;
+    every other instruction is lowered exactly as {!decode_fresh} lowers
+    it. The seeded memo is therefore structurally equal to
+    [decode_fresh prog ~code_base].
+
+    Programs rebuilt by the optimizer's edit buffer from a program whose
+    memo already holds µops at the same base arrive this way, so each
+    optimized program is decoded from scratch once, before its first
+    pass. *)
 
 (** {1 Control-flow metadata — read-only view}
 

@@ -28,6 +28,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let decode prog = Uop.decode prog ~code_base:Layout.code_base
+let decode_fresh_of prog = Uop.decode_fresh prog ~code_base:Layout.code_base
 let cfg_of prog = Cfg.build (decode prog)
 
 let count_instrs p f = Array.fold_left (fun n i -> if f i then n + 1 else n) 0 (Program.instrs p)
@@ -148,8 +149,9 @@ let test_natural_loop () =
 let test_edit_branch_to_deleted () =
   (* A branch to a deleted instruction lands on the next surviving one. *)
   let edit =
-    Edit.create
-      [| Instr.Mov (Reg.RAX, Instr.Imm 1); Instr.Jmp 2; Instr.Mov (Reg.RAX, Instr.Imm 9); Instr.Halt |]
+    Edit.create ~code_base:Layout.code_base
+      (Program.of_instrs
+         [| Instr.Mov (Reg.RAX, Instr.Imm 1); Instr.Jmp 2; Instr.Mov (Reg.RAX, Instr.Imm 9); Instr.Halt |])
   in
   Edit.delete edit 2;
   let p = Program.instrs (Edit.rebuild edit) in
@@ -159,7 +161,10 @@ let test_edit_branch_to_deleted () =
 
 let test_edit_branch_to_replacement () =
   (* A branch to a replaced instruction lands at the replacement body. *)
-  let edit = Edit.create [| Instr.Jcc (Instr.Eq, 1); Instr.Nop; Instr.Halt |] in
+  let edit =
+    Edit.create ~code_base:Layout.code_base
+      (Program.of_instrs [| Instr.Jcc (Instr.Eq, 1); Instr.Nop; Instr.Halt |])
+  in
   Edit.replace edit 1 [ Instr.Mov (Reg.RCX, Instr.Imm 1); Instr.Nop ];
   let p = Program.instrs (Edit.rebuild edit) in
   check_int "four instrs" 4 (Array.length p);
@@ -169,15 +174,129 @@ let test_edit_branch_to_replacement () =
 let test_edit_insert_before_skipped_by_branch () =
   (* insert_before is fallthrough-only: the branch skips the insertion —
      exactly the loop-preheader shape hoisting relies on. *)
-  let edit = Edit.create [| Instr.Mov (Reg.RAX, Instr.Imm 1); Instr.Jmp 2; Instr.Halt |] in
+  let edit =
+    Edit.create ~code_base:Layout.code_base
+      (Program.of_instrs [| Instr.Mov (Reg.RAX, Instr.Imm 1); Instr.Jmp 2; Instr.Halt |])
+  in
   Edit.insert_before edit 2 [ Instr.Mov (Reg.RBX, Instr.Imm 7) ];
   let p = Program.instrs (Edit.rebuild edit) in
   check_int "four instrs" 4 (Array.length p);
   check_bool "branch lands past the insertion" true (p.(1) = Instr.Jmp 3);
   check_bool "insertion on the fallthrough path" true (p.(2) = Instr.Mov (Reg.RBX, Instr.Imm 7));
   check_bool "unchanged buffer reports clean" false
-    (let e2 = Edit.create [| Instr.Halt |] in
+    (let e2 = Edit.create ~code_base:Layout.code_base (Program.of_instrs [| Instr.Halt |]) in
      Edit.changed e2)
+
+(* The list-based [Edit.rebuild] the one-array layout replaced, kept as
+   the reference: lay out insertions and bodies through a reversed list,
+   map each direct target (a deleted instruction's to the next surviving
+   body), then retarget. *)
+let reference_rebuild (e : Edit.t) =
+  let n = Array.length e.Edit.orig in
+  let body i = match e.Edit.repl.(i) with Some l -> l | None -> [ e.Edit.orig.(i) ] in
+  let out = ref [] and pos = ref 0 in
+  let body_start = Array.make (n + 1) 0 and body_len = Array.make n 0 in
+  for i = 0 to n - 1 do
+    List.iter (fun ins -> out := ins :: !out; incr pos) e.Edit.pre.(i);
+    body_start.(i) <- !pos;
+    let b = body i in
+    body_len.(i) <- List.length b;
+    List.iter (fun ins -> out := ins :: !out; incr pos) b
+  done;
+  let target_map = Array.make (n + 1) !pos in
+  for i = n - 1 downto 0 do
+    target_map.(i) <- (if body_len.(i) > 0 then body_start.(i) else target_map.(i + 1))
+  done;
+  let map tgt = if tgt >= 0 && tgt <= n then target_map.(tgt) else tgt in
+  let retarget = function
+    | Instr.Jmp t -> Instr.Jmp (map t)
+    | Instr.Jcc (c, t) -> Instr.Jcc (c, map t)
+    | Instr.Call t -> Instr.Call (map t)
+    | ins -> ins
+  in
+  Program.of_instrs (Array.map retarget (Array.of_list (List.rev !out)))
+
+(* A random edit script over [prog]: deletions (likelier at block heads,
+   and of the last instruction in about half the scripts), one- and
+   multi-instruction replacements whose branches target random original
+   indices up to [n], and fallthrough insertions (likelier on branch
+   targets). Every script also has a replacement that branches to index
+   [n] and to a deleted instruction. *)
+let random_script rng prog =
+  let instrs = Program.instrs prog in
+  let n = Array.length instrs in
+  let uops = decode_fresh_of prog in
+  let is_target = Array.make (n + 1) false in
+  Array.iter
+    (function
+      | Instr.Jmp t | Instr.Jcc (_, t) | Instr.Call t -> if t >= 0 && t <= n then is_target.(t) <- true
+      | _ -> ())
+    instrs;
+  let any () = instrs.(Random.State.int rng n) in
+  let branch () =
+    let t = Random.State.int rng (n + 1) in
+    match Random.State.int rng 3 with
+    | 0 -> Instr.Jmp t
+    | 1 -> Instr.Jcc (Instr.Ne, t)
+    | _ -> Instr.Call t
+  in
+  let edit = Edit.create prog ~code_base:Layout.code_base in
+  for i = 0 to n - 1 do
+    let head = Uop.is_block_head uops i in
+    (match Random.State.int rng 100 with
+    | r when r < 8 || (head && r < 25) -> Edit.delete edit i
+    | r when r < 32 -> Edit.replace edit i [ any (); branch (); instrs.(i) ]
+    | r when r < 38 -> Edit.replace edit i [ any () ]
+    | _ -> ());
+    if (is_target.(i) && Random.State.bool rng) || Random.State.int rng 20 = 0 then
+      Edit.insert_before edit i [ any (); branch () ]
+  done;
+  if n > 1 then begin
+    let k = Random.State.int rng n in
+    let j = (k + 1 + Random.State.int rng (n - 1)) mod n in
+    Edit.delete edit k;
+    Edit.replace edit j [ Instr.Jcc (Instr.Ne, n); Instr.Jmp k; instrs.(j) ]
+  end;
+  if n > 0 && Random.State.bool rng then Edit.delete edit (n - 1);
+  edit
+
+(* [Edit.rebuild] equals the list-based reference on random edit scripts
+   over every Sightglass kernel under every strategy: same instructions,
+   same byte offsets. A source with memoized µops hands the rebuilt
+   program a memo equal to a fresh decode; a source without one leaves
+   the memo empty. *)
+let test_edit_rebuild_matches_reference () =
+  let rng = Random.State.make [| 18 |] in
+  let scripts = ref 0 in
+  List.iter
+    (fun (name, w) ->
+      List.iter
+        (fun strategy ->
+          let built = Instance.build_program ~strategy ~optimize:false w in
+          List.iter
+            (fun memo ->
+              let prog = Program.of_instrs (Array.copy (Program.instrs built)) in
+              if memo then ignore (decode prog);
+              let edit = random_script rng prog in
+              let got = Edit.rebuild edit and want = reference_rebuild edit in
+              let m = Program.length want in
+              let id = Printf.sprintf "%s/%s (memo %b)" name (Strategy.to_string strategy) memo in
+              if Program.instrs got <> Program.instrs want then Alcotest.failf "%s: instructions differ" id;
+              if
+                Program.byte_size got <> Program.byte_size want
+                || Array.init m (Program.byte_offset got) <> Array.init m (Program.byte_offset want)
+              then Alcotest.failf "%s: byte offsets differ" id;
+              (match Uop.memoized got ~code_base:Layout.code_base with
+              | Some uops when memo ->
+                if uops <> decode_fresh_of got then Alcotest.failf "%s: carried µops differ from a fresh decode" id
+              | None when not memo -> ()
+              | Some _ -> Alcotest.failf "%s: memo seeded from a source without one" id
+              | None -> Alcotest.failf "%s: rebuilt program arrives without µops" id);
+              incr scripts)
+            [ true; false ])
+        Strategy.all)
+    Hfi_workloads.Sightglass.all;
+  check_int "scripts run" (2 * List.length Strategy.all * List.length Hfi_workloads.Sightglass.all) !scripts
 
 (* ------------------------------------------------------------------ *)
 (* Liveness                                                             *)
@@ -307,7 +426,7 @@ let test_liveness_dead_mask_matches_rebuild () =
       let uops = decode prog in
       let dead = Array.map (fun u -> Dce.deletable u && Random.State.int rng 3 = 0) uops in
       let masked = Liveness.compute ~dead uops (Cfg.build uops) in
-      let edit = Edit.create (Program.instrs prog) in
+      let edit = Edit.create prog ~code_base:Layout.code_base in
       Array.iteri (fun i d -> if d then Edit.delete edit i) dead;
       let rebuilt = Edit.rebuild edit in
       let ruops = decode rebuilt in
@@ -326,33 +445,120 @@ let test_liveness_dead_mask_matches_rebuild () =
       check_int (name ^ ": survivors") (Program.length rebuilt) !j)
     (Lazy.force liveness_corpus)
 
-(* DCE prepares liveness once per run and re-solves the prepared value
-   each round. After every round, on the whole corpus, that must give
-   exactly a fresh [Liveness.compute] under the same dead set; and the
-   rounds replayed here must delete what [Dce.run_fix] deletes. *)
+(* Every pass output of [Driver.passes] over the SPEC-like, Sightglass
+   and FaaS catalog programs under all four strategies: (cell, pass
+   results), each cell starting from the unoptimized lowering. *)
+let pass_corpus =
+  lazy
+    (let spec =
+       List.map
+         (fun (p : Hfi_workloads.Spec.profile) -> (p.Hfi_workloads.Spec.name, Hfi_workloads.Spec.workload p))
+         Hfi_workloads.Spec.profiles
+     in
+     let faas =
+       List.map
+         (fun (f : Hfi_workloads.Faas_workloads.t) ->
+           (f.Hfi_workloads.Faas_workloads.name, f.Hfi_workloads.Faas_workloads.workload))
+         Hfi_workloads.Faas_workloads.all
+     in
+     List.concat_map
+       (fun (name, (w : Instance.workload)) ->
+         List.map
+           (fun strategy ->
+             let conv =
+               Instance.opt_conv ~strategy ~heap_size:(Instance.round_to_wasm_page w.Instance.heap_bytes)
+             in
+             ( Printf.sprintf "%s/%s" name (Strategy.to_string strategy),
+               Driver.passes conv (Instance.build_program ~strategy ~optimize:false w) ))
+           Strategy.all)
+       (spec @ Hfi_workloads.Sightglass.all @ faas))
+
+(* A pass that rebuilds its input hands the output over with its µops
+   already memoized ([Edit.rebuild] carries them), and the memo must be
+   exactly what a fresh decode gives: on every pass output of the corpus
+   above, and on the register allocator's output at 0, 1 and 2 reserved
+   registers. One check per program. *)
+let test_carried_decode_matches_fresh () =
+  let same name prog ~rebuilt =
+    if rebuilt && Option.is_none (Uop.memoized prog ~code_base:Layout.code_base) then
+      Alcotest.failf "%s: rebuilt program arrives without µops" name;
+    if decode prog <> decode_fresh_of prog then Alcotest.failf "%s: memoized µops differ from a fresh decode" name
+  in
+  let outputs = ref 0 in
+  List.iter
+    (fun (cell, passes) ->
+      List.iter
+        (fun (r : Driver.pass_result) ->
+          same (cell ^ "/" ^ r.Driver.pass) r.Driver.prog ~rebuilt:(r.Driver.changed > 0);
+          incr outputs)
+        passes)
+    (Lazy.force pass_corpus);
+  let module Rp = Hfi_experiments.Register_pressure in
+  let allocatable = Hfi_workloads.Spec.pool_for Strategy.Hfi in
+  List.iter
+    (fun reserved ->
+      let prog = Instance.build_program ~strategy:Strategy.Hfi (Hfi_workloads.Spec.workload Rp.profile) in
+      match
+        Regalloc.allocate ~code_base:Layout.code_base ~allocatable
+          ~avail:(List.length allocatable - reserved) ~scratch:Rp.scratch ~spill_base:Rp.spill_base prog
+      with
+      | Some (prog', _) ->
+        same (Printf.sprintf "regalloc/%d reserved" reserved) prog' ~rebuilt:(prog' != prog);
+        incr outputs
+      | None -> Alcotest.failf "allocator refused the register-pressure workload (%d reserved)" reserved)
+    [ 0; 1; 2 ];
+  check_int "programs compared" ((30 * 4 * 5) + 3) !outputs
+
+(* DCE prepares liveness once per run and solves it once per round.
+   After every round, on the whole corpus plus the Rewrite outputs of
+   the pass corpus (the SPEC-like ones still delete in the last round
+   the cap allows), re-solving the prepared value must give exactly a
+   fresh [Liveness.compute] under the same dead set; and the reference
+   rounds replayed here through [Liveness.solve] and [Dce.sweep] must
+   delete the same instructions, round by round, as [Dce.rounds], whose
+   total [Dce.run_fix] reports. *)
 let test_liveness_prepared_reuse () =
+  let rewritten =
+    List.concat_map
+      (fun (cell, passes) ->
+        List.filter_map
+          (fun (r : Driver.pass_result) ->
+            if r.Driver.pass = "rewrite" then Some (cell ^ "/rewrite", r.Driver.prog) else None)
+          passes)
+      (Lazy.force pass_corpus)
+  in
+  let capped = ref 0 in
   List.iter
     (fun (name, prog) ->
       let uops = decode prog in
       let prepared = Liveness.prepare uops (Cfg.build uops) in
       let dead = Array.make (Array.length uops) false in
-      let rec rounds total round =
+      let rec rounds counts round =
         let live = Liveness.solve ~dead prepared in
         let fresh = Liveness.compute ~dead uops (Cfg.build uops) in
         if live.Liveness.live_in <> fresh.Liveness.live_in
            || live.Liveness.live_out <> fresh.Liveness.live_out
         then Alcotest.failf "%s: round %d: prepared liveness differs from a fresh solve" name round;
-        if round >= Dce.max_rounds then total
+        if round >= Dce.max_rounds then List.rev counts
         else begin
           let count = Dce.sweep uops live dead in
-          if count = 0 then total else rounds (total + count) (round + 1)
+          if count = 0 then List.rev counts else rounds (count :: counts) (round + 1)
         end
       in
-      let total = rounds 0 0 in
+      let counts = rounds [] 0 in
+      let dce_dead, dce_counts = Dce.rounds prepared in
+      if dce_counts <> counts then
+        Alcotest.failf "%s: per-round deletions [%s], replayed [%s]" name
+          (String.concat "; " (List.map string_of_int dce_counts))
+          (String.concat "; " (List.map string_of_int counts));
+      if dce_dead <> dead then Alcotest.failf "%s: DCE deletes other instructions than the replay" name;
+      if List.length counts = Dce.max_rounds then incr capped;
+      let total = List.fold_left ( + ) 0 counts in
       let _, deleted = Dce.run_fix ~code_base:Layout.code_base prog in
       if total <> deleted then
         Alcotest.failf "%s: replayed rounds delete %d, run_fix %d" name total deleted)
-    (Lazy.force liveness_corpus)
+    (Lazy.force liveness_corpus @ rewritten);
+  check_bool "some program still deletes in the last round" true (!capped > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Rewriting and DCE                                                    *)
@@ -676,6 +882,10 @@ let suite =
     Alcotest.test_case "edit: branch to replacement body" `Quick test_edit_branch_to_replacement;
     Alcotest.test_case "edit: insert_before is fallthrough-only" `Quick
       test_edit_insert_before_skipped_by_branch;
+    Alcotest.test_case "edit: rebuild == list-based reference, random scripts" `Quick
+      test_edit_rebuild_matches_reference;
+    Alcotest.test_case "carried decode == fresh decode, every pass output" `Quick
+      test_carried_decode_matches_fresh;
     Alcotest.test_case "liveness across branches" `Quick test_liveness_branchy;
     Alcotest.test_case "liveness: worklist == round-robin oracle" `Quick
       test_liveness_matches_round_robin;
