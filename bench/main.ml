@@ -171,29 +171,15 @@ let run_micro () =
   print_newline ();
   List.rev !estimates
 
-(* Minimal JSON writer (yojson is not vendored): only what the schema
-   below needs. *)
-module Json = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
+module Json = Hfi_util.Json
 
-  let str s = "\"" ^ escape s ^ "\""
-  let num f = Printf.sprintf "%.6g" f
-  let obj fields = "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
-  let arr items = "[" ^ String.concat "," items ^ "]"
-end
+(* Cache hits, and the wall time the run would have taken uncached. *)
+let cache_totals outcomes =
+  ( List.length (List.filter (fun o -> o.Registry.cached) outcomes),
+    List.fold_left
+      (fun acc (o : Registry.outcome) ->
+        acc +. Option.value o.Registry.uncached_seconds ~default:o.Registry.seconds)
+      0.0 outcomes )
 
 let json_doc ~mode ~jobs ~micro ~tiers ~outcomes ~total_seconds ~cache_on =
   let micro_json =
@@ -265,14 +251,7 @@ let json_doc ~mode ~jobs ~micro ~tiers ~outcomes ~total_seconds ~cache_on =
                @ common))
          outcomes)
   in
-  let hits = List.length (List.filter (fun o -> o.Registry.cached) outcomes) in
-  let uncached_total =
-    List.fold_left
-      (fun acc (o : Registry.outcome) ->
-        acc
-        +. match o.Registry.uncached_seconds with Some s -> s | None -> o.Registry.seconds)
-      0.0 outcomes
-  in
+  let hits, uncached_total = cache_totals outcomes in
   let cache_json =
     Json.obj
       [
@@ -329,10 +308,11 @@ let json_doc ~mode ~jobs ~micro ~tiers ~outcomes ~total_seconds ~cache_on =
   doc
 
 let write_json ~file ~doc =
-  let oc = open_out file in
-  output_string oc doc;
-  output_char oc '\n';
-  close_out oc
+  match Hfi_util.Store.write file (doc ^ "\n") with
+  | Ok () -> ()
+  | Error e ->
+    prerr_endline ("bench: " ^ e);
+    exit 2
 
 (* --compare BASELINE.json: diff this run against a committed baseline
    and exit 4 on regression. The comparison reads the same document we
@@ -340,13 +320,12 @@ let write_json ~file ~doc =
    the gate exercises exactly the committed artifact format. *)
 let run_gate ~baseline_file ~doc ~tolerance ~slowdown =
   let module Regression = Hfi_experiments.Regression in
-  let module Ujson = Hfi_util.Json in
-  match Ujson.parse_file baseline_file with
+  match Json.parse_file baseline_file with
   | Error e ->
     Printf.eprintf "bench --compare: cannot read baseline %s: %s\n" baseline_file e;
     exit 4
   | Ok baseline -> begin
-    match Ujson.parse doc with
+    match Json.parse doc with
     | Error e ->
       Printf.eprintf "bench --compare: internal error parsing own output: %s\n" e;
       exit 4
@@ -515,15 +494,7 @@ let () =
     Printf.printf "total: %.1fs\n" total;
     let outcomes = List.rev !collected in
     if cache_on then begin
-      let hits = List.length (List.filter (fun o -> o.Registry.cached) outcomes) in
-      let uncached_total =
-        List.fold_left
-          (fun acc (o : Registry.outcome) ->
-            acc
-            +.
-            match o.Registry.uncached_seconds with Some s -> s | None -> o.Registry.seconds)
-          0.0 outcomes
-      in
+      let hits, uncached_total = cache_totals outcomes in
       Printf.printf "result cache: %d hit(s), %d miss(es); wall %.1fs vs %.1fs uncached%s\n"
         hits
         (List.length outcomes - hits)

@@ -20,6 +20,23 @@ open Cmdliner
 module Registry = Hfi_experiments.Registry
 module Report = Hfi_experiments.Report
 
+(* Every file the CLI writes goes through the store's writer: missing
+   parents are created, and an unwritable path is one line and exit 2. *)
+let write_failed e =
+  prerr_endline ("hfi: " ^ e);
+  exit 2
+
+let write_file file contents = Result.iter_error write_failed (Hfi_util.Store.write file contents)
+
+(* An optional export: written when [file] was asked for, then
+   announced as "wrote WHAT: FILE (DETAIL)". *)
+let export ~detail what file contents =
+  Option.iter
+    (fun file ->
+      write_file file (contents ());
+      Printf.printf "wrote %s: %s (%s)\n" what file detail)
+    file
+
 (* Column width follows the longest id, so adding a long experiment id
    can never silently break the alignment. *)
 let print_entries () =
@@ -313,8 +330,9 @@ let verify_cmd =
       wall_s;
     (match emit_proof with
     | Some dir ->
-      let n = Hfi_verify.Sweep.emit_proofs ~dir sweep in
-      Printf.eprintf "wrote %d proof artifacts to %s\n%!" n dir
+      (match Hfi_verify.Sweep.emit_proofs ~dir sweep with
+      | Ok n -> Printf.eprintf "wrote %d proof artifacts to %s\n%!" n dir
+      | Error e -> write_failed e)
     | None -> ());
     if json then print_string (Hfi_verify.Sweep.to_json sweep)
     else if all_table then begin
@@ -431,20 +449,11 @@ let trace_cmd =
       let inst2 = Hfi_wasm.Instance.instantiate ~strategy w in
       let r = Hfi_wasm.Instance.run_cycle inst2 in
       Format.printf "@[<v>%a@]@." Hfi_pipeline.Tracer.pp_result r;
-      let report file what =
-        Printf.printf "wrote %s: %s (%d events, %d dropped)\n" what file
-          (Hfi_obs.Trace.length ()) (Hfi_obs.Trace.dropped ())
+      let detail =
+        Printf.sprintf "%d events, %d dropped" (Hfi_obs.Trace.length ()) (Hfi_obs.Trace.dropped ())
       in
-      (match chrome with
-      | Some file ->
-        Hfi_obs.Trace.write_chrome ~file;
-        report file "Chrome trace"
-      | None -> ());
-      match jsonl with
-      | Some file ->
-        Hfi_obs.Trace.write_jsonl ~file;
-        report file "JSONL trace"
-      | None -> ()
+      export ~detail "Chrome trace" chrome (fun () -> Hfi_obs.Trace.to_chrome_string () ^ "\n");
+      export ~detail "JSONL trace" jsonl Hfi_obs.Trace.to_jsonl_string
   in
   Cmd.v (Cmd.info "trace" ~doc) Term.(const run $ kernel $ limit $ strategy $ chrome $ jsonl)
 
@@ -471,12 +480,7 @@ let profile_cmd =
       Report.print (e.Registry.run ~quick ());
       Format.printf "== stall breakdown (cycle-engine modeled cycles) ==@.%a@." Hfi_obs.Profile.pp
         Hfi_obs.Profile.global;
-      match json with
-      | Some file ->
-        Out_channel.with_open_text file (fun oc ->
-            output_string oc Hfi_obs.Profile.(to_json global);
-            output_char oc '\n')
-      | None -> ()
+      Option.iter (fun file -> write_file file (Hfi_obs.Profile.(to_json global) ^ "\n")) json
   in
   Cmd.v (Cmd.info "profile" ~doc) Term.(const run $ id $ quick $ json)
 
@@ -582,20 +586,10 @@ let serve_cmd =
     if tracing then begin
       let groups = Hfi_experiments.Serving.span_groups reports in
       let spans = List.fold_left (fun a (_, s) -> a + List.length s) 0 groups in
-      let report file what =
-        Printf.printf "wrote %s: %s (%d spans, %d strategies)\n" what file spans
-          (List.length groups)
-      in
-      (match trace_chrome with
-      | Some file ->
-        Hfi_obs.Span.write_chrome ~file groups;
-        report file "Chrome span trace"
-      | None -> ());
-      match trace_jsonl with
-      | Some file ->
-        Hfi_obs.Span.write_jsonl ~file groups;
-        report file "JSONL span trace"
-      | None -> ()
+      let detail = Printf.sprintf "%d spans, %d strategies" spans (List.length groups) in
+      export ~detail "Chrome span trace" trace_chrome (fun () ->
+          Hfi_obs.Span.to_chrome_string groups);
+      export ~detail "JSONL span trace" trace_jsonl (fun () -> Hfi_obs.Span.to_jsonl_string groups)
     end
   in
   Cmd.v (Cmd.info "serve" ~doc)

@@ -73,7 +73,7 @@ let pp ppf (t : t) =
 (* Full float precision: consumers check that the buckets sum back to
    [total], which %.6g rounding would spoil. *)
 let to_json (t : t) =
-  "{"
-  ^ String.concat ","
-      (List.map (fun c -> Printf.sprintf "\"%s\":%.17g" (name c) t.(index c)) all_causes)
-  ^ Printf.sprintf ",\"total\":%.17g}" (total t)
+  let open Hfi_util.Json in
+  obj
+    (List.map (fun c -> (name c, num_exact t.(index c))) all_causes
+    @ [ ("total", num_exact (total t)) ])

@@ -14,7 +14,7 @@
    [Hfi_util.Pool.map] preserves input order, the merged span list —
    and both exports — are byte-identical for any HFI_JOBS.
 
-   Exports reuse the Trace machinery's conventions: Chrome trace_event
+   Exports share Trace's Chrome exporter ({!Chrome}): trace_event
    JSON (one process per strategy, one thread per tenant, 1 trace µs =
    1 virtual µs) and JSONL with a leading meta line. *)
 
@@ -73,76 +73,39 @@ let merge sinks = List.concat_map spans sinks
 
 (* ---- export ---- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+module Json = Hfi_util.Json
 
 (* One Chrome process per span group (the serving exports group by
-   strategy), one thread per tenant; spans with a duration are complete
-   events, zero-duration ones instants. Timestamps are virtual seconds
+   strategy), one thread per tenant. Timestamps are virtual seconds
    rendered as microseconds. *)
-let chrome_event buf ~pid s =
-  let instant = s.dur_s = 0.0 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"serving\",\"ph\":\"%s\",%s\"ts\":%.3f,\"pid\":%d,\"tid\":%d,\"args\":{\"req\":%d,\"outcome\":\"%s\"}}"
-       (stage_name s.stage)
-       (if instant then "i" else "X")
-       (if instant then "\"s\":\"t\"," else Printf.sprintf "\"dur\":%.3f," (s.dur_s *. 1e6))
-       (s.start_s *. 1e6) pid s.tenant s.req (escape s.outcome))
-
 let to_chrome_string groups =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () = if !first then first := false else Buffer.add_char buf ',' in
-  List.iteri
-    (fun i (name, _) ->
-      sep ();
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
-           (i + 1) (escape name)))
-    groups;
-  List.iteri
-    (fun i (_, spans) ->
-      List.iter
-        (fun s ->
-          sep ();
-          chrome_event buf ~pid:(i + 1) s)
-        spans)
-    groups;
-  Buffer.add_string buf
-    "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"virtual seconds (1 trace us = 1 virtual us)\"}}";
-  Buffer.contents buf
+  Chrome.document
+    ~other_data:[ ("clock", Json.str "virtual seconds (1 trace us = 1 virtual us)") ]
+    (fun c ->
+      List.iteri (fun i (name, _) -> Chrome.process_name c ~pid:(i + 1) name) groups;
+      List.iteri
+        (fun i (_, spans) ->
+          List.iter
+            (fun s ->
+              Chrome.event c ~name:(stage_name s.stage) ~cat:"serving" ~ts:(s.start_s *. 1e6)
+                ~dur:(s.dur_s *. 1e6) ~pid:(i + 1) ~tid:s.tenant
+                ~args:(Printf.sprintf {|{"req":%d,"outcome":%s}|} s.req (Json.str s.outcome)))
+            spans)
+        groups)
 
 let to_jsonl_string groups =
   let buf = Buffer.create 4096 in
   let total = List.fold_left (fun acc (_, spans) -> acc + List.length spans) 0 groups in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"meta\":\"hfi-serving-spans\",\"groups\":%d,\"spans\":%d}\n"
-       (List.length groups) total);
+  Printf.bprintf buf "{\"meta\":\"hfi-serving-spans\",\"groups\":%d,\"spans\":%d}\n"
+    (List.length groups) total;
   List.iter
     (fun (name, spans) ->
       List.iter
         (fun (s : t) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"group\":\"%s\",\"req\":%d,\"tenant\":%d,\"stage\":\"%s\",\"start_s\":%.9f,\"dur_s\":%.9f,\"outcome\":\"%s\"}\n"
-               (escape name) s.req s.tenant (stage_name s.stage) s.start_s s.dur_s
-               (escape s.outcome)))
+          Printf.bprintf buf
+            "{\"group\":%s,\"req\":%d,\"tenant\":%d,\"stage\":\"%s\",\"start_s\":%.9f,\"dur_s\":%.9f,\"outcome\":%s}\n"
+            (Json.str name) s.req s.tenant (stage_name s.stage) s.start_s s.dur_s
+            (Json.str s.outcome))
         spans)
     groups;
   Buffer.contents buf
-
-let write_chrome ~file groups = Trace.write_string ~file (to_chrome_string groups)
-
-let write_jsonl ~file groups = Trace.write_string ~file (to_jsonl_string groups)

@@ -62,6 +62,3 @@ val to_chrome_string : (string * t list) list -> string
 
 val to_jsonl_string : (string * t list) list -> string
 (** One JSON object per span, preceded by a meta line with totals. *)
-
-val write_chrome : file:string -> (string * t list) list -> unit
-val write_jsonl : file:string -> (string * t list) list -> unit

@@ -155,51 +155,29 @@ let chrome_args e =
   | Transition -> "{}"
   | Syscall -> Printf.sprintf "{\"rax\":%d}" e.a
 
-(* Instant events use ph:"i" (scope thread); everything with a duration
-   is a complete event ph:"X". *)
-let chrome_event buf e =
-  let instant = e.dur = 0.0 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",%s\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":%s}"
-       (chrome_name e) (chrome_cat e.kind)
-       (if instant then "i" else "X")
-       (if instant then "\"s\":\"t\"," else Printf.sprintf "\"dur\":%.3f," e.dur)
-       e.ts (chrome_args e))
-
 let to_chrome_string () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      chrome_event buf e)
-    (events ());
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"modeled cycles (1 cycle = 1 trace us)\",\"dropped_events\":%d}}"
-       (dropped ()));
-  Buffer.contents buf
+  Chrome.document
+    ~other_data:
+      [
+        ("clock", Hfi_util.Json.str "modeled cycles (1 cycle = 1 trace us)");
+        ("dropped_events", string_of_int (dropped ()));
+      ]
+    (fun c ->
+      List.iter
+        (fun e ->
+          Chrome.event c ~name:(chrome_name e) ~cat:(chrome_cat e.kind) ~ts:e.ts ~dur:e.dur ~pid:1
+            ~tid:1 ~args:(chrome_args e))
+        (events ()))
 
-let write_string ~file s =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
-let write_chrome ~file = write_string ~file (to_chrome_string () ^ "\n")
-
-let write_jsonl ~file =
+let to_jsonl_string () =
   let buf = Buffer.create 4096 in
   (* Meta line first so consumers see the retained/dropped split before
      any event, mirroring the Chrome export's otherData. *)
-  Buffer.add_string buf
-    (Printf.sprintf "{\"meta\":\"hfi-trace\",\"events\":%d,\"dropped_events\":%d}\n"
-       (length ()) (dropped ()));
+  Printf.bprintf buf "{\"meta\":\"hfi-trace\",\"events\":%d,\"dropped_events\":%d}\n" (length ())
+    (dropped ());
   List.iter
     (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "{\"kind\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"a\":%d,\"b\":%d}\n"
-           (kind_name e.kind) e.ts e.dur e.a e.b))
+      Printf.bprintf buf "{\"kind\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,\"a\":%d,\"b\":%d}\n"
+        (kind_name e.kind) e.ts e.dur e.a e.b)
     (events ());
-  write_string ~file (Buffer.contents buf)
+  Buffer.contents buf

@@ -51,11 +51,6 @@ val set_capacity : int -> unit
 val to_chrome_string : unit -> string
 (** The retained events as a Chrome [trace_event] JSON document. *)
 
-val write_chrome : file:string -> unit
-
-val write_jsonl : file:string -> unit
+val to_jsonl_string : unit -> string
 (** One event per line, preceded by a meta line carrying the
     retained/dropped counts. *)
-
-val write_string : file:string -> string -> unit
-(** Write a prepared document to [file] (shared by the span exports). *)

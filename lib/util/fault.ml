@@ -89,41 +89,19 @@ let to_string t =
   opt (Printf.sprintf " sandbox=%s") t.sandbox;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let fields = ref [] in
-  let add k v = fields := (k, v) :: !fields in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  add "kind" (str (kind_name t.kind));
-  add "detail" (str (kind_detail t.kind));
-  (match t.kind with
-  | Syscall_trap n -> add "syscall" (string_of_int n)
-  | Crash { backtrace; _ } when backtrace <> "" -> add "backtrace" (str backtrace)
-  | _ -> ());
-  let opt k fmt = function None -> () | Some v -> add k (fmt v) in
-  opt "addr" string_of_int t.addr;
-  opt "region" string_of_int t.region;
-  opt "pc" string_of_int t.pc;
-  opt "cycle" string_of_int t.cycle;
-  opt "sandbox" str t.sandbox;
-  "{"
-  ^ String.concat "," (List.rev_map (fun (k, v) -> str k ^ ":" ^ v) !fields)
-  ^ "}"
+  let opt k fmt v = Option.to_list (Option.map (fun v -> (k, fmt v)) v) in
+  Json.obj
+    ([ ("kind", Json.str (kind_name t.kind)); ("detail", Json.str (kind_detail t.kind)) ]
+    @ (match t.kind with
+      | Syscall_trap n -> [ ("syscall", string_of_int n) ]
+      | Crash { backtrace; _ } when backtrace <> "" -> [ ("backtrace", Json.str backtrace) ]
+      | _ -> [])
+    @ opt "addr" string_of_int t.addr
+    @ opt "region" string_of_int t.region
+    @ opt "pc" string_of_int t.pc
+    @ opt "cycle" string_of_int t.cycle
+    @ opt "sandbox" Json.str t.sandbox)
 
 exception Simulator_bug of string
 exception Transient of string

@@ -1,8 +1,8 @@
-(* Minimal recursive-descent JSON reader. The repository writes all of
-   its JSON by hand (bench --json, result-cache entries, serve --json);
-   this is the matching reader, used by the bench regression gate to
-   load a committed baseline. No external dependency (yojson is not
-   vendored), no streaming: documents here are at most a few MiB.
+(* The repository's one JSON codec: a minimal recursive-descent reader
+   and the string combinators every writer renders with (bench --json,
+   cache entries, proof artifacts, trace exports, serve --json). No
+   external dependency (yojson is not vendored), no streaming: documents
+   here are at most a few MiB.
 
    Numbers are all represented as OCaml floats — every number this
    repository emits is either a float already or an int small enough to
@@ -17,6 +17,37 @@ type t =
   | Obj of (string * t) list
 
 exception Parse_error of string
+
+(* ---- writer ---- *)
+
+(* Short escapes for the common control characters, [\u00XX] for the
+   rest; bytes >= 0x20 other than the quote and backslash pass through. *)
+let escape s =
+  if not (String.exists (fun c -> c < ' ' || c = '"' || c = '\\') s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (function
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
+
+let str s = "\"" ^ escape s ^ "\""
+let num f = Printf.sprintf "%.6g" f
+
+let num_exact f = Printf.sprintf "%.17g" f
+
+let obj fields = "{" ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields) ^ "}"
+let arr items = "[" ^ String.concat "," items ^ "]"
+
+(* ---- reader ---- *)
 
 type state = { src : string; mutable pos : int }
 

@@ -1,7 +1,8 @@
-(** Minimal JSON reader for the repository's own machine-readable
-    outputs (bench [--json], result-cache entries, [serve --json]).
-    The bench regression gate uses it to load committed baselines; no
-    external JSON dependency is vendored, so this is the one reader.
+(** The repository's one JSON reader and writer. No external JSON
+    dependency is vendored; every machine-readable output (bench
+    [--json], cache entries, proof artifacts, trace exports,
+    [serve --json]) is rendered with the combinators below and read
+    back with {!parse}.
 
     Numbers are represented as floats; every number the repository's
     writers emit round-trips exactly through a double. *)
@@ -13,6 +14,33 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+(** {1 Writer}
+
+    The combinators build rendered JSON text: each returns a string
+    ready to be embedded as a value. *)
+
+val escape : string -> string
+(** The body of a JSON string literal: short escapes for the quote,
+    the backslash, newline, carriage return and tab; [\u00XX] for the
+    other control characters; every other byte is copied. *)
+
+val str : string -> string
+(** A quoted, escaped string literal. *)
+
+val num : float -> string
+(** [%.6g]: six significant digits, for figures meant to be read. *)
+
+val num_exact : float -> string
+(** [%.17g]: parses back to the same double, for numbers that must
+    round-trip bit for bit. *)
+
+val obj : (string * string) list -> string
+(** An object from (key, rendered value) pairs, in order. *)
+
+val arr : string list -> string
+
+(** {1 Reader} *)
 
 val parse : string -> (t, string) result
 (** Parse a complete document; [Error] carries a message with the

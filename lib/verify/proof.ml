@@ -19,15 +19,15 @@ type t = {
   invariants : (int * Vstate.t) list;  (* block id -> entry invariant, ascending ids *)
 }
 
-let escape = Report.escape
+module J = Hfi_util.Json
 
 let to_json p =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf
        {|{"format":"hfi-proof","proof_version":%d,"verifier_version":%d,"target":"%s","strategy":"%s","fingerprint":"%s","code_base":%d,"blocks":%d,"instrs":%d,"invariants":[|}
-       p.proof_version p.verifier_version (escape p.target) (escape p.strategy)
-       (escape p.fingerprint) p.code_base p.blocks p.instrs);
+       p.proof_version p.verifier_version (J.escape p.target) (J.escape p.strategy)
+       (J.escape p.fingerprint) p.code_base p.blocks p.instrs);
   List.iteri
     (fun i (blk, st) ->
       if i > 0 then Buffer.add_char b ',';
@@ -37,8 +37,6 @@ let to_json p =
     p.invariants;
   Buffer.add_string b "]}\n";
   Buffer.contents b
-
-module J = Hfi_util.Json
 
 let of_json_string s =
   match J.parse s with

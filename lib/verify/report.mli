@@ -76,8 +76,7 @@ val to_json : t -> string
     [iterations], and a [violations]/[reasons] array. *)
 
 val escape : string -> string
-(** The minimal JSON string escaping every writer in the verifier tree
-    shares. *)
+(** {!Hfi_util.Json.escape}, under the name external callers use. *)
 
 val of_json : Hfi_util.Json.t -> t option
 (** Inverse of {!to_json} (via {!Hfi_util.Json}); [None] on any

@@ -158,7 +158,7 @@ let to_json ?wall_s t =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf {|{"kernel":"%s","strategy":"%s","cached":%b,"report":%s}|}
-           (Report.escape c.kernel)
+           (Hfi_util.Json.escape c.kernel)
            (Hfi_sfi.Strategy.to_string c.strategy)
            c.cached (Report.to_json c.report)))
     t.cells;
@@ -177,16 +177,11 @@ let proof_filename ~kernel ~strategy =
   Printf.sprintf "%s-%s.proof.json" kernel (Hfi_sfi.Strategy.to_string strategy)
 
 let emit_proofs ~dir t =
-  (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755 with Sys_error _ -> ());
   List.fold_left
-    (fun n c ->
-      match c.proof with
-      | None -> n
-      | Some p ->
+    (fun acc c ->
+      match (acc, c.proof) with
+      | Ok n, Some p ->
         let path = Filename.concat dir (proof_filename ~kernel:c.kernel ~strategy:c.strategy) in
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Proof.to_json p));
-        n + 1)
-    0 t.cells
+        Result.map (fun () -> n + 1) (Hfi_util.Store.write path (Proof.to_json p))
+      | acc, _ -> acc)
+    (Ok 0) t.cells

@@ -47,6 +47,7 @@ val to_json : ?wall_s:float -> t -> string
 
 val proof_filename : kernel:string -> strategy:Hfi_sfi.Strategy.t -> string
 
-val emit_proofs : dir:string -> t -> int
-(** Write each carried proof to [dir/<kernel>-<strategy>.proof.json];
-    returns how many were written. *)
+val emit_proofs : dir:string -> t -> (int, string) result
+(** Write each carried proof to [dir/<kernel>-<strategy>.proof.json]
+    through {!Hfi_util.Store.write} (missing directories are created);
+    returns how many were written, or the first write's error. *)

@@ -156,90 +156,59 @@ let leq a b =
    a double round-trips exactly, so every integer is serialized as a
    decimal string. *)
 
-let buf_int b n = Buffer.add_char b '"'; Buffer.add_string b (string_of_int n); Buffer.add_char b '"'
+module J = Hfi_util.Json
 
-let dom_to_buf b (d : Domain.t) =
+let int_str n = J.str (string_of_int n)
+
+let dom_json (d : Domain.t) =
   match d with
-  | Bot -> Buffer.add_string b {|{"t":"bot"}|}
-  | Stackish -> Buffer.add_string b {|{"t":"stack"}|}
-  | Itv { lo; hi } ->
-    Buffer.add_string b {|{"t":"itv","lo":|};
-    buf_int b lo;
-    Buffer.add_string b {|,"hi":|};
-    buf_int b hi;
-    Buffer.add_char b '}'
+  | Bot -> {|{"t":"bot"}|}
+  | Stackish -> {|{"t":"stack"}|}
+  | Itv { lo; hi } -> J.obj [ ("t", {|"itv"|}); ("lo", int_str lo); ("hi", int_str hi) ]
   | Masked { base; mask } ->
-    Buffer.add_string b {|{"t":"masked","base":|};
-    buf_int b base;
-    Buffer.add_string b {|,"mask":|};
-    buf_int b mask;
-    Buffer.add_char b '}'
+    J.obj [ ("t", {|"masked"|}); ("base", int_str base); ("mask", int_str mask) ]
 
-let fact_to_buf b = function
-  | None -> Buffer.add_string b "null"
+let fact_json = function
+  | None -> "null"
   | Some { Rel.base; k; lo; hi } ->
-    Buffer.add_string b (Printf.sprintf {|{"base":%d,"k":%d,"lo":|} base k);
-    buf_int b lo;
-    Buffer.add_string b {|,"hi":|};
-    buf_int b hi;
-    Buffer.add_char b '}'
+    J.obj
+      [ ("base", string_of_int base); ("k", string_of_int k); ("lo", int_str lo); ("hi", int_str hi) ]
 
 let sandbox_name = function Sout -> "out" | Sin -> "in" | Smaybe -> "maybe"
 
-let region_to_buf b (r : Hfi_iface.region) =
+let region_json (r : Hfi_iface.region) =
   match r with
   | Implicit_code { base_prefix; lsb_mask; permission_exec } ->
-    Buffer.add_string b
-      (Printf.sprintf {|{"kind":"implicit-code","base_prefix":%d,"lsb_mask":%d,"x":%b}|}
-         base_prefix lsb_mask permission_exec)
+    Printf.sprintf {|{"kind":"implicit-code","base_prefix":%d,"lsb_mask":%d,"x":%b}|} base_prefix
+      lsb_mask permission_exec
   | Implicit_data { base_prefix; lsb_mask; permission_read; permission_write } ->
-    Buffer.add_string b
-      (Printf.sprintf {|{"kind":"implicit-data","base_prefix":%d,"lsb_mask":%d,"r":%b,"w":%b}|}
-         base_prefix lsb_mask permission_read permission_write)
+    Printf.sprintf {|{"kind":"implicit-data","base_prefix":%d,"lsb_mask":%d,"r":%b,"w":%b}|}
+      base_prefix lsb_mask permission_read permission_write
   | Explicit_data { base_address; bound; permission_read; permission_write; is_large_region } ->
-    Buffer.add_string b
-      (Printf.sprintf
-         {|{"kind":"explicit-data","base_address":%d,"bound":%d,"r":%b,"w":%b,"large":%b}|}
-         base_address bound permission_read permission_write is_large_region)
+    Printf.sprintf
+      {|{"kind":"explicit-data","base_address":%d,"bound":%d,"r":%b,"w":%b,"large":%b}|}
+      base_address bound permission_read permission_write is_large_region
 
-let rstate_to_buf b = function
-  | Runset -> Buffer.add_string b {|{"t":"unset"}|}
-  | Runknown -> Buffer.add_string b {|{"t":"unknown"}|}
-  | Rknown r ->
-    Buffer.add_string b {|{"t":"known","region":|};
-    region_to_buf b r;
-    Buffer.add_char b '}'
-
-let to_buf b st =
-  let arr f xs =
-    Buffer.add_char b '[';
-    Array.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_char b ',';
-        f b x)
-      xs;
-    Buffer.add_char b ']'
-  in
-  Buffer.add_string b {|{"regs":|};
-  arr dom_to_buf st.regs;
-  Buffer.add_string b {|,"facts":|};
-  arr fact_to_buf st.facts;
-  Buffer.add_string b (Printf.sprintf {|,"cmp_reg":%d,"cmp_rhs":|} st.cmp_reg);
-  dom_to_buf b st.cmp_rhs;
-  Buffer.add_string b (Printf.sprintf {|,"sandbox":"%s","regions":|} (sandbox_name st.sandbox));
-  arr rstate_to_buf st.regions;
-  Buffer.add_char b '}'
+let rstate_json = function
+  | Runset -> {|{"t":"unset"}|}
+  | Runknown -> {|{"t":"unknown"}|}
+  | Rknown r -> J.obj [ ("t", {|"known"|}); ("region", region_json r) ]
 
 let to_json st =
-  let b = Buffer.create 512 in
-  to_buf b st;
-  Buffer.contents b
+  let arr f xs = J.arr (Array.to_list (Array.map f xs)) in
+  J.obj
+    [
+      ("regs", arr dom_json st.regs);
+      ("facts", arr fact_json st.facts);
+      ("cmp_reg", string_of_int st.cmp_reg);
+      ("cmp_rhs", dom_json st.cmp_rhs);
+      ("sandbox", J.str (sandbox_name st.sandbox));
+      ("regions", arr rstate_json st.regions);
+    ]
 
 exception Malformed of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
-
-module J = Hfi_util.Json
 
 let get_int name j =
   match J.member name j with

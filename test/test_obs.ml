@@ -14,6 +14,7 @@ module Obs = Hfi_obs.Obs
 module Metrics = Hfi_obs.Metrics
 module Trace = Hfi_obs.Trace
 module Profile = Hfi_obs.Profile
+module Span = Hfi_obs.Span
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -155,6 +156,38 @@ let test_metrics_noop_when_off () =
       Metrics.add c 10;
       check_int "no increments while off" 0 (Metrics.value c))
 
+(* The exports byte for byte on a small fixed input: every event kind,
+   instants and durations, several span groups, and strings that need
+   escaping. *)
+let test_exports_pinned () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  with_obs ~metrics:false ~trace:true ~profile:false (fun () ->
+      Trace.clear ();
+      Trace.emit Trace.Commit ~ts:1.0 ~a:7;
+      Trace.emit Trace.Squash ~ts:2.0 ~dur:14.0 ~a:3;
+      Trace.emit Trace.Drain ~ts:3.5 ~dur:2.25 ~b:1;
+      Trace.emit Trace.Fault ~ts:4.0 ~a:2;
+      Trace.emit Trace.Transition ~ts:5.0 ~a:0;
+      Trace.emit Trace.Transition ~ts:6.0 ~dur:1.5 ~a:1;
+      Trace.emit Trace.Syscall ~ts:7.125 ~a:60;
+      let chrome = Trace.to_chrome_string () in
+      Trace.clear ();
+      Alcotest.(check string) "Trace.to_chrome_string" "a1a7ad2afca7d90fe982815399971282" (md5 chrome));
+  let sp req tenant stage start_s dur_s outcome =
+    { Span.req; tenant; stage; start_s; dur_s; outcome }
+  in
+  let groups =
+    [
+      ("hfi", [ sp 0 1 Span.Request 0.001 0.0025 "ok"; sp 0 1 Span.Admission 0.001 0.0 "hit" ]);
+      ( "bounds \"q\\",
+        [ sp 1 2 Span.Execute 0.5 0.000125 "trap \"oob\"\\"; sp 1 2 Span.Backoff_wait 0.75 0.0 "" ] );
+    ]
+  in
+  Alcotest.(check string) "Span.to_chrome_string" "d8febd6a91055db34c551923673f3aac"
+    (md5 (Span.to_chrome_string groups));
+  Alcotest.(check string) "Span.to_jsonl_string" "421a4fcd0434931abeb951eef6ecfd60"
+    (md5 (Span.to_jsonl_string groups))
+
 let suite =
   [
     Alcotest.test_case "golden pins unchanged with observability on" `Quick test_off_is_identical;
@@ -168,4 +201,5 @@ let suite =
     Alcotest.test_case "emit is a no-op while off" `Quick test_emit_noop_when_off;
     Alcotest.test_case "metrics counters, gauges and deltas" `Quick test_metrics_counters_and_delta;
     Alcotest.test_case "metrics updates are no-ops while off" `Quick test_metrics_noop_when_off;
+    Alcotest.test_case "Chrome/JSONL exports pinned byte for byte" `Quick test_exports_pinned;
   ]

@@ -30,7 +30,7 @@ let sample_report =
     paper_claim = "line one\nline two \\ backslash";
     table = "col\tcol\nrow\x01ctrl";
     verdict = "ok";
-    data = [ ("p99_ms", 12.5) ];
+    data = [ ("p99_ms", 12.5); ("big", 123456789.0); ("third", 1.0 /. 3.0) ];
   }
 
 let test_disabled_by_default () =
@@ -54,6 +54,10 @@ let test_round_trip () =
         check_string "paper_claim" sample_report.Report.paper_claim r.Report.paper_claim;
         check_string "table" sample_report.Report.table r.Report.table;
         check_string "verdict" sample_report.Report.verdict r.Report.verdict;
+        (* Figures come back bit for bit, in order. *)
+        let bits = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) in
+        Alcotest.(check (list (pair string int64)))
+          "data" (bits sample_report.Report.data) (bits r.Report.data);
         Alcotest.(check (float 1e-9)) "uncached seconds" 1.25 seconds)
 
 let test_quick_and_full_are_distinct () =
@@ -68,7 +72,7 @@ let test_corrupt_entry_is_a_miss () =
   let dir = fresh_dir () in
   with_cache_env dir (fun () ->
       RC.store ~id:"fig3" ~quick:false ~seconds:0.5 sample_report;
-      let path = RC.entry_path ~dir ~key:(RC.key ~id:"fig3" ~quick:false) in
+      let path = Hfi_util.Store.path ~dir (RC.key ~id:"fig3" ~quick:false) in
       let oc = open_out path in
       output_string oc "{\"id\": [not flat";
       close_out oc;
@@ -78,7 +82,14 @@ let test_corrupt_entry_is_a_miss () =
       let oc = open_out path in
       output_string oc "{\"id\":\"fig3\",\"uncached_seconds\":1}";
       close_out oc;
-      check_bool "incomplete entry misses" true (RC.find ~id:"fig3" ~quick:false = None))
+      check_bool "incomplete entry misses" true (RC.find ~id:"fig3" ~quick:false = None);
+      (* A complete entry in the version-4 flat layout is a miss even
+         at the current address. *)
+      let oc = open_out path in
+      output_string oc
+        "{\"schema_version\":4,\"id\":\"fig3\",\"title\":\"t\",\"paper_claim\":\"c\",\"table\":\"x\",\"verdict\":\"ok\",\"data:p99_ms\":12.5,\"uncached_seconds\":0.5}\n";
+      close_out oc;
+      check_bool "v4 entry misses" true (RC.find ~id:"fig3" ~quick:false = None))
 
 (* v3 keys carry the runtime configuration: flipping the optimizer
    switch or the reg-pressure model must land on a different entry, so a

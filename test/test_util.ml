@@ -175,6 +175,99 @@ let test_obs_histogram_reregister_keeps_bounds () =
       check_int "same instrument" 1 (Metrics.hist_count h2);
       check_int "original bounds kept" 1 (Array.length (Metrics.bucket_bounds h2)))
 
+(* ---- JSON codec ---- *)
+
+(* Every byte survives the writer and the reader, alone and between
+   ordinary characters. *)
+let test_json_string_round_trip () =
+  let round s =
+    match Json.parse (Json.str s) with
+    | Ok (Json.Str s') when s' = s -> ()
+    | Ok _ -> Alcotest.failf "Json.str %S parses back to a different value" s
+    | Error e -> Alcotest.failf "Json.str %S does not parse: %s" s e
+  in
+  for b = 0 to 255 do
+    round (Printf.sprintf "a%cz" (Char.chr b))
+  done;
+  round (String.init 256 Char.chr)
+
+let test_json_num_exact () =
+  List.iter
+    (fun f ->
+      match Json.parse (Json.num_exact f) with
+      | Ok (Json.Num f') when Int64.bits_of_float f' = Int64.bits_of_float f -> ()
+      | _ -> Alcotest.failf "%h does not round-trip through num_exact" f)
+    [ 123456789.0; 1.0 /. 3.0; 0.1; -2.5e-300; 1e22; max_float; min_float; 0.0 ]
+
+(* ---- on-disk store ---- *)
+
+let temp_dir =
+  let n = ref 0 in
+  fun tag ->
+    incr n;
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hfi-store-%s-%d-%d" tag (Unix.getpid ()) !n)
+
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
+let rec tmp_files d =
+  Array.fold_left
+    (fun acc f ->
+      let p = Filename.concat d f in
+      if Sys.is_directory p then tmp_files p @ acc
+      else if Filename.check_suffix f ".tmp" then p :: acc
+      else acc)
+    [] (Sys.readdir d)
+
+let test_store_write () =
+  let root = temp_dir "write" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf root)
+    (fun () ->
+      let file = Filename.concat root (Filename.concat "a" (Filename.concat "b" "out.json")) in
+      (match Store.write file "{}\n" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write into missing parents failed: %s" e);
+      Alcotest.(check string) "contents" "{}\n" (In_channel.with_open_bin file In_channel.input_all);
+      check_bool "overwrite" true (Store.write file "[]" = Ok ());
+      Alcotest.(check string) "overwritten" "[]" (In_channel.with_open_bin file In_channel.input_all);
+      Alcotest.(check (list string)) "no temporary left behind" [] (tmp_files root);
+      let under_file = Filename.concat file "x.json" in
+      (match Store.write under_file "{}" with
+      | Ok () -> Alcotest.fail "a path under a regular file was written"
+      | Error e ->
+        check_bool "error names the path" true
+          (String.starts_with ~prefix:("cannot write " ^ under_file) e));
+      Alcotest.(check (list string)) "no temporary after a failure" [] (tmp_files root))
+
+(* Both caches derive keys from the executable digest from inside pool
+   workers; the first call on a cold store must be safe from every
+   domain at once. *)
+let test_store_exe_digest_parallel () =
+  let dir = temp_dir "digest" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let digests = Pool.map ~jobs:4 (fun _ -> Store.exe_digest ~dir ()) (List.init 16 Fun.id) in
+      Alcotest.(check (list string)) "one digest"
+        [ Digest.to_hex (Digest.file Sys.executable_name) ]
+        (List.sort_uniq compare digests);
+      check_bool "stamp memoized in the store" true (Sys.file_exists (Filename.concat dir "exe.stamp"));
+      Alcotest.(check string) "without a store" (List.hd digests) (Store.exe_digest ()))
+
+let test_store_dir_of_env () =
+  let var = "HFI_STORE_TEST_DIR" in
+  let at v = Unix.putenv var v; Store.dir_of_env ~var ~default:"dflt" in
+  Alcotest.(check (list (option string))) "unset/empty/0/1/dir"
+    [ None; None; Some "dflt"; Some "d/e" ]
+    [ at ""; at "0"; at "1"; at "d/e" ]
+
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
@@ -199,4 +292,12 @@ let suite =
     Alcotest.test_case "units cycles/time" `Quick test_units_cycles_time;
     Alcotest.test_case "units comma grouping" `Quick test_units_pp_cycles_commas;
     Alcotest.test_case "table render" `Quick test_table_render;
+    Alcotest.test_case "json: every byte round-trips through str" `Quick
+      test_json_string_round_trip;
+    Alcotest.test_case "json: num_exact round-trips bit for bit" `Quick test_json_num_exact;
+    Alcotest.test_case "store: write creates parents, atomic, fails closed" `Quick
+      test_store_write;
+    Alcotest.test_case "store: exe digest from 4 domains on a cold store" `Quick
+      test_store_exe_digest_parallel;
+    Alcotest.test_case "store: opt-in rule" `Quick test_store_dir_of_env;
   ]
