@@ -143,10 +143,23 @@ let dcache t = t.dcache
 let dtlb t = t.dtlb
 let machine t = t.m
 
+(* [1 /. w], the issue-front advance per instruction. Every config in
+   the tree uses width 4, whose reciprocal 0.25 is exact, so the common
+   case costs a compare instead of a division on each committed
+   instruction, with the same bits. It is recomputed rather than stored:
+   one more word in each engine record moved repro-quick's GC-paced peak
+   RSS from 61 to 77 MB. *)
+let[@inline] issue_step (w : float) = if w = 4.0 then 0.25 else 1.0 /. w
+
 (* [Float.max] with its exact semantics (NaN-propagating, +0 above -0),
-   local so the compiler inlines it and keeps both operands unboxed. *)
+   local so the compiler inlines it and keeps both operands unboxed.
+   Ordered operands decide by one or two compares; the sign-bit calls
+   run only for equal operands (+0 against -0) or a NaN, where the last
+   branch is [Float.max]'s own expression. *)
 let[@inline] fmax (x : float) (y : float) =
-  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then if x <> x then x else y
+  if y > x then y
+  else if x > y then x
+  else if (not (Float.sign_bit y)) && Float.sign_bit x then if x <> x then x else y
   else if y <> y then y
   else x
 
@@ -234,7 +247,7 @@ let account t (u : Uop.t) (ev : Machine.event) =
   let tracing = !Obs.trace_enabled in
   let clock = t.clock in
   let clock0 = Array.unsafe_get clock 0 in
-  let issue_step = 1.0 /. t.cfg.issue_width in
+  let issue_step = issue_step t.cfg.issue_width in
   (* Fetch: i-cache miss stalls the front end. *)
   let fetch_addr = u.Uop.fetch_addr in
   let fetch_line = fetch_addr / 64 in

@@ -80,6 +80,10 @@ let reset t m =
   attach t m;
   t
 
+(* [1 /. w] without a division at the default width, whose reciprocal
+   is exact; see [Cycle_engine.issue_step] for why it is not stored. *)
+let[@inline] issue_step (w : float) = if w = 4.0 then 0.25 else 1.0 /. w
+
 (* The accumulator is a chain of let-bound floats rather than a [ref]:
    without flambda every [:=] on a float ref boxes, and this runs once
    per simulated instruction. The addition order is exactly the order
@@ -88,9 +92,8 @@ let reset t m =
    ones are read from the machine's event slot. *)
 let account t (u : Uop.t) (ev : Machine.event) =
   let cfg = t.cfg in
-  let c = 1.0 /. cfg.issue_width in
   let c =
-    c
+    issue_step cfg.issue_width
     +.
     match u.Uop.cost_class with
     | Uop.Cmul -> cfg.mul_latency

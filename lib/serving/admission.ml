@@ -8,51 +8,88 @@ type decision =
   | Admitted
   | Rejected of { verdict : string; detail : string }
 
-type entry = { decision : decision; fingerprint : string }
-
 (* A compiled module image: the workload value it was built from (by
-   identity), the lowering it was built under, and its fingerprint. *)
+   identity), the lowering it was built under, its fingerprint and the
+   verdict key derived from it, built once here so a warm check does no
+   string work. *)
 type image = {
   workload : Instance.workload;
   strategy : Strategy.t;
   optimized : bool;  (* [!Hfi_opt.Driver.enabled] at compile time *)
-  image_fingerprint : string;
+  fingerprint : string;
+  key : string;  (* fingerprint/strategy: the verdict key *)
 }
+
+(* One campaign's shared work, read and written only under [lock]: gates
+   on different domains share it. Entries hold the program itself, never
+   a [Lazy.t], since two domains forcing one lazy raise. *)
+type memo = {
+  lock : Mutex.t;
+  programs : (string, image * Program.t) Hashtbl.t;  (* workload name -> images *)
+  reports : (string, Vreport.t) Hashtbl.t;  (* verdict key -> report *)
+}
+
+let memo () = { lock = Mutex.create (); programs = Hashtbl.create 8; reports = Hashtbl.create 8 }
 
 type t = {
   images : (string, image) Hashtbl.t;  (* workload name -> images compiled *)
-  cache : (string, entry) Hashtbl.t;  (* fingerprint/strategy -> verdict *)
+  cache : (string, decision) Hashtbl.t;  (* verdict key -> verdict *)
+  memo : memo option;
   mutable hits : int;
   mutable misses : int;
   mutable persisted : int;
 }
 
-let create () =
+let create ?memo () =
   {
     images = Hashtbl.create 16;
     cache = Hashtbl.create 64;
+    memo;
     hits = 0;
     misses = 0;
     persisted = 0;
   }
 
-(* The fingerprint of [w] compiled under [strategy], compiling only the
-   first time this gate sees that image. The name narrows the search;
-   physical equality decides it, so a different value reusing a name is
-   a different image. [program] is the compiled form, forced only when
-   the verdict is not cached. *)
+(* The name narrows an image search; physical equality decides it, so a
+   different value reusing a name is a different image. *)
+let find_image images ~strategy ~optimized (w : Instance.workload) proj =
+  List.find_opt
+    (fun e ->
+      let i = proj e in
+      i.workload == w && i.strategy = strategy && i.optimized = optimized)
+    (Hashtbl.find_all images w.Instance.name)
+
+(* [w] compiled under [strategy]: built here without a memo, otherwise
+   taken from the memo, which builds each image once per campaign. *)
+let compile t ~strategy ~optimized (w : Instance.workload) =
+  let build () =
+    let program = Instance.build_program ~strategy w in
+    let fingerprint = Program.fingerprint program in
+    let key = fingerprint ^ "/" ^ Strategy.to_string strategy in
+    ({ workload = w; strategy; optimized; fingerprint; key }, program)
+  in
+  match t.memo with
+  | None -> build ()
+  | Some m ->
+    Mutex.protect m.lock (fun () ->
+        match find_image m.programs ~strategy ~optimized w fst with
+        | Some e -> e
+        | None ->
+          let e = build () in
+          Hashtbl.add m.programs w.Instance.name e;
+          e)
+
+(* The image of [w] under [strategy], compiling only the first time this
+   gate sees it. The program comes back only when it was just compiled;
+   the gate keeps the fingerprint, not the program. *)
 let image t ~strategy (w : Instance.workload) =
   let optimized = !Hfi_opt.Driver.enabled in
-  let same i = i.workload == w && i.strategy = strategy && i.optimized = optimized in
-  let compile () = Instance.build_program ~strategy w in
-  match List.find_opt same (Hashtbl.find_all t.images w.Instance.name) with
-  | Some i -> (i.image_fingerprint, lazy (compile ()))
+  match find_image t.images ~strategy ~optimized w Fun.id with
+  | Some i -> (i, None)
   | None ->
-    let program = compile () in
-    let image_fingerprint = Program.fingerprint program in
-    Hashtbl.add t.images w.Instance.name
-      { workload = w; strategy; optimized; image_fingerprint };
-    (image_fingerprint, Lazy.from_val program)
+    let i, program = compile t ~strategy ~optimized w in
+    Hashtbl.add t.images w.Instance.name i;
+    (i, Some program)
 
 (* One counter per cache event kind, labeled so a metrics snapshot
    shows the in-memory hit / fresh-verify / persistent-load split at a
@@ -79,51 +116,76 @@ let decision_of_report (r : Vreport.t) =
     in
     Rejected { verdict = "unknown"; detail }
 
+(* The verifier's report on [img], for a gate that missed both its own
+   table and the persistent cache. With a memo, each verdict key is
+   verified once per campaign and later gates take the memo's report; a
+   fresh report is stored back into the persistent cache. *)
+let verify t ~name img program =
+  let run () =
+    let code_base = Hfi_wasm.Layout.code_base in
+    let report = Checks.verify ~name { Checks.strategy = img.strategy; code_base } program in
+    Vcache.store ~fingerprint:img.fingerprint ~strategy:img.strategy ~code_base report;
+    report
+  in
+  match t.memo with
+  | None -> run ()
+  | Some m ->
+    Mutex.protect m.lock (fun () ->
+        match Hashtbl.find_opt m.reports img.key with
+        | Some report -> report
+        | None ->
+          let report = run () in
+          Hashtbl.add m.reports img.key report;
+          report)
+
 (* Verify the compiled form of [workload] under [strategy], memoized
    twice. A workload value is an immutable module image, so the gate
    compiles it once per (strategy, optimizer switch) and keeps only its
-   fingerprint ({!image}); a warm check never recompiles, which under
-   bounds checks was most of a warm check's cost. Verdicts are
-   content-addressed: the key is the program fingerprint (a digest of
-   the exact instruction sequence) plus the strategy, so two tenants
-   sharing a module image share one verification, and any change to the
-   module or the compiler changes the key.
+   fingerprint and verdict key ({!image}); a warm check never
+   recompiles, which under bounds checks was most of a warm check's
+   cost. Verdicts are content-addressed: the key is the program
+   fingerprint (a digest of the exact instruction sequence) plus the
+   strategy, so two tenants sharing a module image share one
+   verification, and any change to the module or the compiler changes
+   the key.
 
-   Behind the in-process table sits the opt-in persistent
+   Behind the gate's own table sits the opt-in persistent
    {!Hfi_verify.Verdict_cache} ([HFI_VERIFY_CACHE]): a first-seen
    fingerprint is looked up there before the fixpoint runs, and a
    fresh verdict is stored back, so verification survives process
    restarts — the report round-trips through JSON, and the decision is
-   recomputed from the report, never stored. *)
+   recomputed from the report, never stored. Last comes the campaign
+   memo, if the gate has one: what it supplies is this gate's miss and
+   reads as a fresh verification, so counts and spans do not depend on
+   which shard of a campaign verified first. *)
 let check ?ctx ?(at = 0.0) t ~strategy (w : Instance.workload) =
-  let fingerprint, program = image t ~strategy w in
-  let key = fingerprint ^ "/" ^ Strategy.to_string strategy in
-  let code_base = Hfi_wasm.Layout.code_base in
+  let img, program = image t ~strategy w in
   let decision, source =
-    match Hashtbl.find_opt t.cache key with
-    | Some e ->
+    match Hashtbl.find_opt t.cache img.key with
+    | Some decision ->
       t.hits <- t.hits + 1;
       cache_event `Hit;
-      (e.decision, `Memory)
-    | None -> (
-      match Vcache.find ~fingerprint ~strategy ~code_base with
-      | Some report ->
-        t.persisted <- t.persisted + 1;
-        cache_event `Persisted;
-        let decision = decision_of_report report in
-        Hashtbl.replace t.cache key { decision; fingerprint };
-        (decision, `Persisted)
-      | None ->
-        t.misses <- t.misses + 1;
-        cache_event `Miss;
-        let report =
-          Checks.verify ~name:w.Instance.name { Checks.strategy; code_base }
-            (Lazy.force program)
-        in
-        Vcache.store ~fingerprint ~strategy ~code_base report;
-        let decision = decision_of_report report in
-        Hashtbl.replace t.cache key { decision; fingerprint };
-        (decision, `Fresh))
+      (decision, `Memory)
+    | None ->
+      let code_base = Hfi_wasm.Layout.code_base in
+      let decision, source =
+        match Vcache.find ~fingerprint:img.fingerprint ~strategy ~code_base with
+        | Some report ->
+          t.persisted <- t.persisted + 1;
+          cache_event `Persisted;
+          (decision_of_report report, `Persisted)
+        | None ->
+          t.misses <- t.misses + 1;
+          cache_event `Miss;
+          let program =
+            match program with
+            | Some p -> p
+            | None -> snd (compile t ~strategy ~optimized:img.optimized w)
+          in
+          (decision_of_report (verify t ~name:w.Instance.name img program), `Fresh)
+      in
+      Hashtbl.replace t.cache img.key decision;
+      (decision, source)
   in
   let outcome =
     let qualifier =

@@ -24,14 +24,29 @@
     {!Hfi_verify.Verdict_cache}, so verification survives process
     restarts; every lookup is counted both here ({!hits} / {!misses} /
     {!persisted}) and as the labeled
-    [hfi_verify_cache_events_total{event=...}] observability counter. *)
+    [hfi_verify_cache_events_total{event=...}] observability counter.
+
+    Gates can also share a campaign {!memo}: the serving layer gives
+    every shard of one [Server.simulate] call its own gate on one memo,
+    so a campaign compiles and verifies each distinct image once, not
+    once per shard. The memo only saves work: each gate still counts
+    and reports exactly what it would without one. *)
+
+type memo
+(** Compiled images (program and fingerprint) and verifier reports,
+    both pure functions of their keys, shared by the gates created on
+    it. Safe to share across domains; it lives as long as its holder,
+    so a campaign's memo dies with the campaign. *)
+
+val memo : unit -> memo
 
 type t
-(** The image table and the verdict cache. Both live as long as the
-    gate: nothing is shared between gates except through the opt-in
-    persistent cache. *)
+(** A gate: its own image table, verdict table and counters, plus the
+    memo it was created on, if any. *)
 
-val create : unit -> t
+val create : ?memo:memo -> unit -> t
+(** Without [memo], the gate shares nothing with other gates except
+    through the opt-in persistent cache. *)
 
 type decision =
   | Admitted
@@ -47,13 +62,15 @@ val check :
   Hfi_wasm.Instance.workload ->
   decision
 (** Find the image's fingerprint (compiling only the first time this
-    gate sees the image), look up its verdict (in-memory first, then
-    the persistent cache if enabled), verify on a miss and store the
-    fresh verdict back. Never instantiates or executes the module. With
-    [ctx], records the verdict and its source as an instant admission
-    span at virtual time [at] (default 0): outcomes are
-    [admitted]/[rejected-*] for a fresh verification, with a [-cached]
-    or [-persisted] qualifier for the two cache tiers. *)
+    gate sees the image, or taking it from the memo), look up its
+    verdict (this gate's table first, then the persistent cache if
+    enabled, then the memo), verify on a miss and store the fresh
+    verdict back. A verdict the memo supplies counts as this gate's
+    miss, like a fresh verification. Never instantiates or executes
+    the module. With [ctx], records the verdict and its source as an
+    instant admission span at virtual time [at] (default 0): outcomes
+    are [admitted]/[rejected-*] for a fresh or memo verdict, with a
+    [-cached] or [-persisted] qualifier for the two cache tiers. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -287,7 +287,7 @@ type shard_result = {
 
 let combo_key wkey strategy = wkey ^ "/" ^ Strategy.to_string strategy
 
-let run_shard (config : config) ~measure ~strategy ~shard_seed ~first_tenant ~count
+let run_shard (config : config) ~measure ~memo ~strategy ~shard_seed ~first_tenant ~count
     ~shard_requests =
   let rng = Prng.create ~seed:shard_seed in
   (* Observability state is shard-local and write-only with respect to
@@ -391,9 +391,11 @@ let run_shard (config : config) ~measure ~strategy ~shard_seed ~first_tenant ~co
   let requests =
     Array.to_list tenants
     |> List.concat_map (fun t -> List.map (fun at -> (at, t)) t.arrivals)
-    |> List.sort (fun (a, ta) (b, tb) -> compare (a, ta.id) (b, tb.id))
+    |> List.sort (fun (a, ta) (b, tb) ->
+           let c = Float.compare a b in
+           if c <> 0 then c else Int.compare ta.id tb.id)
   in
-  let admission = Admission.create () in
+  let admission = Admission.create ~memo () in
   (* The HFI context budget is a per-platform number; each shard owns
      its tenants' slice of it (rounded down, floored at one), so the
      effective budget depends only on the tenant count — never on how
@@ -653,10 +655,13 @@ let simulate ?jobs (config : config) ~strategy =
   if config.max_attempts < 1 then invalid_arg "Server.simulate: max_attempts < 1";
   let shards = plan_shards config in
   let measure = campaign_measure () in
+  (* Shards keep their own gates (counts and spans stay per shard) but
+     compile and verify each distinct image once per campaign. *)
+  let memo = Admission.memo () in
   let results =
     Pool.map ?jobs
       (fun { seed; first_tenant; count; requests } ->
-        run_shard config ~measure ~strategy ~shard_seed:seed ~first_tenant ~count
+        run_shard config ~measure ~memo ~strategy ~shard_seed:seed ~first_tenant ~count
           ~shard_requests:requests)
       shards
   in
@@ -665,7 +670,7 @@ let simulate ?jobs (config : config) ~strategy =
   in
   check_total counters;
   let latencies =
-    List.concat_map (fun r -> r.latencies_s) results |> List.sort compare
+    List.concat_map (fun r -> r.latencies_s) results |> List.sort Float.compare
   in
   let horizon_s = List.fold_left (fun m r -> Float.max m r.sh_horizon_s) 0.0 results in
   (* Shard results arrive in plan order whatever the worker count, so
@@ -676,7 +681,8 @@ let simulate ?jobs (config : config) ~strategy =
     | [] -> None
     | monitors -> Some (Slo.merge monitors)
   in
-  let pct p = match latencies with [] -> 0.0 | ls -> Stats.percentile p ls *. 1000.0 in
+  let sorted = Array.of_list latencies in
+  let pct p = if sorted = [||] then 0.0 else Stats.percentile_sorted p sorted *. 1000.0 in
   let served = counters.ok + counters.retried_ok in
   let mean_service_ms =
     match latencies with

@@ -18,22 +18,21 @@ let geomean = function
     in
     exp (sum_logs /. float_of_int (List.length xs))
 
-let sorted xs = List.sort compare xs
+let percentile_sorted p a =
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Stats.percentile: empty"
+  else if n = 1 then a.(0)
+  else begin
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    let hi = Stdlib.min (lo + 1) (n - 1) in
+    let frac = rank -. float_of_int lo in
+    a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
+  end
 
-let percentile p xs =
-  match sorted xs with
-  | [] -> invalid_arg "Stats.percentile: empty"
-  | s ->
-    let a = Array.of_list s in
-    let n = Array.length a in
-    if n = 1 then a.(0)
-    else begin
-      let rank = p /. 100.0 *. float_of_int (n - 1) in
-      let lo = int_of_float (floor rank) in
-      let hi = Stdlib.min (lo + 1) (n - 1) in
-      let frac = rank -. float_of_int lo in
-      a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-    end
+(* [Float.compare] orders exactly as polymorphic [compare] does on
+   floats (NaN first, -0 equal to +0) without its generic dispatch. *)
+let percentile p xs = percentile_sorted p (Array.of_list (List.sort Float.compare xs))
 
 let median xs = match xs with [] -> 0.0 | _ -> percentile 50.0 xs
 

@@ -18,6 +18,10 @@ val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [\[0,100\]], linear interpolation between
     order statistics. Raises [Invalid_argument] on the empty list. *)
 
+val percentile_sorted : float -> float array -> float
+(** [percentile] over samples already sorted with [Float.compare], so
+    several percentiles of one sample set sort it once. *)
+
 val min_max : float list -> float * float
 
 (** Online accumulator for latency samples with percentile queries. *)

@@ -214,6 +214,41 @@ let prop_percentile_monotonic =
       let p99 = Hfi_util.Stats.percentile 99.0 xs in
       p25 <= p50 && p50 <= p99)
 
+(* [Stats.percentile] sorts with [Float.compare]; this reference sorts
+   with polymorphic [compare], and the two must agree to the bit,
+   whatever NaNs, signed zeros and infinities the samples hold. *)
+let reference_percentile p xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  if n = 1 then a.(0)
+  else
+    let rank = p /. 100.0 *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    let hi = Stdlib.min (lo + 1) (n - 1) in
+    a.(lo) +. ((rank -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+
+let prop_percentile_matches_polymorphic_sort =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, float_range (-1000.0) 1000.0);
+          (1, oneofl [ nan; Float.neg nan; -0.0; 0.0; infinity; neg_infinity; 1.0 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"percentile == polymorphic-compare reference, bit for bit" ~count:300
+    (QCheck.make
+       ~print:(fun (p, xs) ->
+         Printf.sprintf "p=%h [%s]" p (String.concat "; " (List.map (Printf.sprintf "%h") xs)))
+       QCheck.Gen.(pair (float_range 0.0 100.0) (list_size (int_range 1 40) sample)))
+    (fun (p, xs) ->
+      List.for_all
+        (fun p ->
+          let got = Hfi_util.Stats.percentile p xs and want = reference_percentile p xs in
+          Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+          && Printf.sprintf "%h" got = Printf.sprintf "%h" want)
+        [ p; 0.0; 50.0; 99.9; 100.0 ])
+
 let prop_geomean_between_min_max =
   QCheck.Test.make ~name:"geomean lies between min and max" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 30) (make QCheck.Gen.(float_range 0.1 100.0)))
@@ -969,6 +1004,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_page_table_matches_direct_lookups;
     QCheck_alcotest.to_alcotest prop_cache_matches_lru_reference;
     QCheck_alcotest.to_alcotest prop_prng_int_in_range;
+    QCheck_alcotest.to_alcotest prop_percentile_matches_polymorphic_sort;
     QCheck_alcotest.to_alcotest prop_percentile_monotonic;
     QCheck_alcotest.to_alcotest prop_geomean_between_min_max;
     QCheck_alcotest.to_alcotest prop_program_offsets_consistent;

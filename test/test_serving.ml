@@ -223,6 +223,69 @@ let test_admission_gate_admits_and_caches () =
   check_int "optimized image still remembered" 2 !builds;
   check_int "and its verdict" 50 (Admission.hits gate)
 
+(* A campaign memo: gates on one memo compile and verify each image
+   once between them, yet each gate counts and reports exactly as a
+   memo-less gate would — a memo-supplied verdict is that gate's miss,
+   and its span carries no cache qualifier. *)
+let counting_workload () =
+  let builds = Atomic.make 0 in
+  let w = (List.hd Hfi_workloads.Faas_workloads.all).Hfi_workloads.Faas_workloads.workload in
+  ( builds,
+    {
+      w with
+      Hfi_wasm.Instance.build =
+        (fun cg ->
+          Atomic.incr builds;
+          w.Hfi_wasm.Instance.build cg);
+    } )
+
+let test_admission_memo_shares_work () =
+  let builds, counted = counting_workload () in
+  let memo = Admission.memo () in
+  let outcome gate =
+    let sink = Hfi_obs.Span.create_sink () in
+    let ctx = Hfi_obs.Span.ctx sink ~req:0 ~tenant:0 in
+    let d = Admission.check ~ctx gate ~strategy:Strategy.Bounds_checks counted in
+    (d, List.map (fun sp -> sp.Hfi_obs.Span.outcome) (Hfi_obs.Span.spans sink))
+  in
+  let a = Admission.create ~memo () and b = Admission.create ~memo () in
+  let da, sa = outcome a and db, sb = outcome b in
+  check_int "one compile for two gates" 1 (Atomic.get builds);
+  check_bool "equal decisions" true (da = db && da = Admission.Admitted);
+  Alcotest.(check (list string)) "first gate's span" [ "admitted" ] sa;
+  Alcotest.(check (list string)) "memo verdict reads as fresh" [ "admitted" ] sb;
+  List.iter
+    (fun gate ->
+      check_int "each gate records its miss" 1 (Admission.misses gate);
+      check_int "and no hit" 0 (Admission.hits gate))
+    [ a; b ];
+  let _, sb' = outcome b in
+  Alcotest.(check (list string)) "gate's own table first" [ "admitted-cached" ] sb';
+  check_int "warm check counted as a hit" 1 (Admission.hits b);
+  (* The poison image is rejected through the memo just as on its own. *)
+  let poison gate = Admission.check gate ~strategy:Strategy.Hfi Admission.poison_workload in
+  check_bool "memo keeps rejections" true
+    (poison a = poison (Admission.create ()) && poison b = poison a);
+  let c = Admission.create () in
+  ignore (outcome c);
+  check_int "a gate without a memo compiles again" 2 (Atomic.get builds);
+  check_int "and verifies on its own" 1 (Admission.misses c)
+
+let test_admission_memo_across_domains () =
+  let builds, counted = counting_workload () in
+  let memo = Admission.memo () in
+  let gates =
+    Hfi_util.Pool.map ~jobs:4
+      (fun _ ->
+        let gate = Admission.create ~memo () in
+        let d = Admission.check gate ~strategy:Strategy.Hfi counted in
+        (d, Admission.misses gate))
+      (List.init 16 Fun.id)
+  in
+  check_int "16 gates, one compile" 1 (Atomic.get builds);
+  check_bool "every gate admitted, each on one miss" true
+    (List.for_all (fun (d, misses) -> d = Admission.Admitted && misses = 1) gates)
+
 let test_admission_gate_rejects_poison_before_execution () =
   (* The acceptance property: a region-escape module is refused under
      every strategy, and the gate never instantiates it — its init hook
@@ -453,6 +516,10 @@ let suite =
       test_pool_warm_cold_and_degradation;
     Alcotest.test_case "admission admits and caches verdicts" `Quick
       test_admission_gate_admits_and_caches;
+    Alcotest.test_case "admission memo: one compile, per-gate counts" `Quick
+      test_admission_memo_shares_work;
+    Alcotest.test_case "admission memo shared by 16 gates on 4 domains" `Quick
+      test_admission_memo_across_domains;
     Alcotest.test_case "admission rejects poison before execution" `Quick
       test_admission_gate_rejects_poison_before_execution;
     Alcotest.test_case "scheduler budget fault is typed" `Quick
