@@ -209,6 +209,9 @@ let json_doc ~mode ~jobs ~micro ~tiers ~outcomes ~total_seconds ~cache_on =
              @ (match o.Registry.uncached_seconds with
                | Some s -> [ ("uncached_seconds", Json.num s) ]
                | None -> [])
+             @ (match o.Registry.alloc_mb with
+               | Some mb -> [ ("alloc_mb", Json.num mb) ]
+               | None -> [])
              @
              (* Per-experiment metric deltas (HFI_OBS=metrics); absent
                 entirely when observability is off so the schema without
@@ -277,8 +280,11 @@ let json_doc ~mode ~jobs ~micro ~tiers ~outcomes ~total_seconds ~cache_on =
            Result_cache.schema_version when fields change shape. v5
            added [wasm_opt]; v6 added per-experiment [data] figures and
            made cached entries report the cache-probe wall time
-           honestly instead of 0. *)
-        ("schema_version", string_of_int 6);
+           honestly instead of 0; v7 added each uncached experiment's
+           [alloc_mb], the MB it allocated on its domain (all of its
+           allocation at jobs=1). v7 only adds a field the gate does not
+           read, so the --compare gate compares v6 and v7 documents. *)
+        ("schema_version", string_of_int 7);
         ("mode", Json.str mode);
         ("jobs", string_of_int jobs);
         (* The optimizing-middle-end configuration these numbers were

@@ -29,12 +29,13 @@ let write_failed e =
 let write_file file contents = Result.iter_error write_failed (Hfi_util.Store.write file contents)
 
 (* An optional export: written when [file] was asked for, then
-   announced as "wrote WHAT: FILE (DETAIL)". *)
+   announced on stderr as "wrote WHAT: FILE (DETAIL)", so that stdout
+   holds only the command's report (one JSON document under --json). *)
 let export ~detail what file contents =
   Option.iter
     (fun file ->
       write_file file (contents ());
-      Printf.printf "wrote %s: %s (%s)\n" what file detail)
+      Printf.eprintf "wrote %s: %s (%s)\n%!" what file detail)
     file
 
 (* Column width follows the longest id, so adding a long experiment id

@@ -41,12 +41,6 @@ let teardown_us_per_sandbox ?(sandboxes = 2000) variant =
   | Stock -> Lifecycle.teardown_each pool
   | Hfi_batched | Batched_without_elision -> Lifecycle.teardown_batched pool);
   let cycles = Kernel.cycles kernel +. (Lifecycle.runtime_cycles pool -. r0) in
-  (* The pool's touched pages are real heap bytes (~40 MB at 200
-     sandboxes). Collect them now, as the modeled madvise returns them,
-     rather than leave them for GC pacing: experiments that run next
-     allocate too little to drive the major GC, so a dead pool would
-     otherwise stack under their own peaks. *)
-  Gc.full_major ();
   Hfi_util.Units.cycles_to_us (cycles /. float_of_int sandboxes)
 
 let run_teardown ?(quick = false) () =

@@ -50,6 +50,11 @@ type outcome = {
   cached : bool;  (** served from {!Result_cache} instead of running *)
   uncached_seconds : float option;
       (** for cached outcomes: wall-clock of the original uncached run *)
+  alloc_mb : float option;
+      (** for uncached outcomes: MB allocated on the running domain
+          while the experiment ran, retries included. At jobs=1 that is
+          all of its allocation; work it fans out to other domains is
+          not counted. *)
   metrics : (string * float) list;
       (** metric deltas attributable to this run (empty unless HFI_OBS
           enables metrics; always empty for cached outcomes) *)
@@ -64,6 +69,14 @@ let failures_counter id =
 
 let cache_counter outcome =
   Hfi_obs.Metrics.counter "hfi_result_cache_total" ~labels:[ ("outcome", outcome) ]
+
+(* Bytes allocated on this domain so far. Not [Gc.allocated_bytes]:
+   on OCaml 5.1 its minor-heap term misses most of the words allocated
+   since the last minor collection (a 24 KB list reads as 3 KB), while
+   [Gc.minor_words] counts them. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
 
 (* Run a batch of experiments, fanning across domains when [jobs] (or
    HFI_JOBS) allows. Outcomes come back in the order of [entries]
@@ -104,12 +117,14 @@ let run_entry ?quick ?(clock = fun () -> 0.0) ?(timeout_s = infinity) ?(retries 
       timed_out = false;
       cached = true;
       uncached_seconds = Some uncached;
+      alloc_mb = None;
       metrics = [];
     }
   | None ->
     if metrics_on && cache_on then Hfi_obs.Metrics.inc (cache_counter "miss");
     let before = if metrics_on then Hfi_obs.Metrics.snapshot () else [] in
     let t0 = clock () in
+    let alloc0 = allocated_bytes () in
     let rec attempt k =
       match e.run ?quick () with
       | report ->
@@ -125,6 +140,7 @@ let run_entry ?quick ?(clock = fun () -> 0.0) ?(timeout_s = infinity) ?(retries 
         else (Error fault, clock () -. t0, k)
     in
     let result, seconds, attempts = attempt 1 in
+    let alloc_mb = (allocated_bytes () -. alloc0) /. 1048576.0 in
     (* Only clean successes are worth remembering; faults should re-run. *)
     (match result with
     | Ok report when cache_on -> Result_cache.store ~id:e.id ~quick:quick_flag ~seconds report
@@ -153,6 +169,7 @@ let run_entry ?quick ?(clock = fun () -> 0.0) ?(timeout_s = infinity) ?(retries 
       timed_out;
       cached = false;
       uncached_seconds = None;
+      alloc_mb = Some alloc_mb;
       metrics;
     }
 

@@ -15,7 +15,8 @@
       at a fixed config, so compared with a tight relative band.
 
     The comparison refuses documents that are not comparable (different
-    [schema_version] or [mode]) rather than reporting a vacuous pass.
+    [schema_version], v6 and v7 excepted, or [mode]) rather than
+    reporting a vacuous pass.
     Bechamel micro estimates are deliberately not gated: ns-scale OLS
     estimates on shared CI runners are too noisy to act on. *)
 
@@ -131,7 +132,11 @@ let data_check ~subject ~metric ~rel_tol base cur =
    actually trips. Deterministic data figures are left alone: they
    could only be faked by changing the simulation itself. *)
 let compare_docs ?(tol = default_tolerance) ?(slowdown = 1.0) ~baseline ~current () =
-  let sv doc = Json.num_member "schema_version" doc in
+  (* v7 only added per-experiment [alloc_mb], which no check reads, so
+     v6 and v7 documents share a layout. *)
+  let sv doc =
+    Option.map (fun v -> if v = 7.0 then 6.0 else v) (Json.num_member "schema_version" doc)
+  in
   let mode doc = Json.str_member "mode" doc in
   match (sv baseline, sv current) with
   | Some b, Some c when b <> c ->

@@ -10,7 +10,7 @@ type vma = { stop : int; perm : Perm.t }
 (* The page/permission table is direct-mapped on the page number: slot
    [p land table_mask] describes page [p] iff [tbl_page.(slot) = p]. A
    valid slot holds [Some] of the protection of the VMA containing the
-   page and the page's resident contents, or [Bytes.empty] when it is
+   page and the page's stored prefix, or [Bytes.empty] when it is
    not resident. Only mapped pages are entered. *)
 let table_size = 256
 let table_mask = table_size - 1
@@ -211,22 +211,38 @@ let[@inline] checked_slot t addr access =
 (* Resident page [p], or [Bytes.empty] (length 0, never a real page) when
    it is not resident, so the hot path allocates nothing — not even an
    option. Unmapped pages can still hold data written by [poke] or
-   [blit_in]; they are looked up in the hashtable. *)
+   [blit_in]; they are looked up in the hashtable.
+
+   A resident page stores only a prefix of its contents: its [Bytes]
+   holds the page's first [Bytes.length b] bytes (64 or [page_size]) and
+   every byte past the end reads as zero. A first touch that ends within
+   [small_page] bytes allocates that much; any write past the end grows
+   the page once, to [page_size]. *)
+let small_page = 64
+
 let page_or_empty t p =
   let s = slot_of t p in
   if s >= 0 then Array.unsafe_get t.tbl_data s
   else match Hashtbl.find_opt t.pages p with Some b -> b | None -> Bytes.empty
 
-let ensure_page t p =
+(* Page [p] holding at least its first [need] bytes: allocated (and a
+   minor fault counted) on first touch, grown to [page_size] when its
+   prefix is too short. *)
+let ensure_page t p need =
   let s = p land table_mask in
   let cached = Array.unsafe_get t.tbl_data s in
-  if Array.unsafe_get t.tbl_page s = p && Bytes.length cached > 0 then cached
+  if Array.unsafe_get t.tbl_page s = p && need <= Bytes.length cached then cached
   else begin
     let b =
       match Hashtbl.find_opt t.pages p with
-      | Some b -> b
+      | Some b when need <= Bytes.length b -> b
+      | Some b ->
+        let g = Bytes.make page_size '\000' in
+        Bytes.blit b 0 g 0 (Bytes.length b);
+        Hashtbl.replace t.pages p g;
+        g
       | None ->
-        let b = Bytes.make page_size '\000' in
+        let b = Bytes.make (if need <= small_page then small_page else page_size) '\000' in
         Hashtbl.replace t.pages p b;
         t.minor_faults <- t.minor_faults + 1;
         b
@@ -236,21 +252,23 @@ let ensure_page t p =
   end
 
 let read_byte t addr =
-  let b = page_or_empty t (addr lsr page_shift) in
-  if Bytes.length b = 0 then 0 else Char.code (Bytes.get b (addr land (page_size - 1)))
+  let b = page_or_empty t (addr lsr page_shift) and off = addr land (page_size - 1) in
+  if off < Bytes.length b then Char.code (Bytes.unsafe_get b off) else 0
 
 let write_byte t addr v =
-  let b = ensure_page t (addr lsr page_shift) in
-  Bytes.set b (addr land (page_size - 1)) (Char.chr (v land 0xff))
+  let off = addr land (page_size - 1) in
+  let b = ensure_page t (addr lsr page_shift) (off + 1) in
+  Bytes.set b off (Char.chr (v land 0xff))
 
 let valid_width bytes =
   if bytes <> 1 && bytes <> 2 && bytes <> 4 && bytes <> 8 then
     invalid_arg "Addr_space: width must be 1, 2, 4 or 8"
 
-(* Per-byte assembly, used only when the access straddles a page
-   boundary. Values are little-endian 63-bit patterns: OCaml ints carry
-   up to 62 value bits, which covers all modeled address arithmetic, and
-   the multi-byte fast path below reproduces the same truncation. *)
+(* Per-byte assembly, used when the access straddles a page boundary or
+   the end of a page's stored prefix. Values are little-endian 63-bit
+   patterns: OCaml ints carry up to 62 value bits, which covers all
+   modeled address arithmetic, and the multi-byte fast path below
+   reproduces the same truncation. *)
 let raw_load_straddle t addr bytes =
   let v = ref 0 in
   for i = bytes - 1 downto 0 do
@@ -264,39 +282,34 @@ let raw_store_straddle t addr bytes v =
   done
 
 (* Read or write [bytes] at offset [off] of page [b]. Unsafe accessors
-   are justified by the callers' guard: [off + bytes <= page_size] and
-   every resident page is exactly [page_size] long (the [Bytes.empty]
-   sentinel is length-checked first). Byte-at-a-time composition rather
-   than [Bytes.get_int64_le] keeps the path allocation-free — boxed
-   [Int64]s would dominate an 8-byte access. The top byte's [lsl 56]
-   drops bit 63 exactly as the per-byte slow loop does, so values agree
-   mod 2^63. *)
+   are justified by the callers' guard: [off + bytes <= Bytes.length b].
+   Byte-at-a-time composition rather than [Bytes.get_int64_le] keeps the
+   path allocation-free — boxed [Int64]s would dominate an 8-byte
+   access. The top byte's [lsl 56] drops bit 63 exactly as the per-byte
+   slow loop does, so values agree mod 2^63. *)
 (* Top-level (not closures over [b]/[off]), so they inline and the
    access allocates nothing. *)
 let[@inline] byte_at b i = Char.code (Bytes.unsafe_get b i)
 let[@inline] set_byte_at b i x = Bytes.unsafe_set b i (Char.unsafe_chr (x land 0xff))
 
 let read_in b off bytes =
-  if Bytes.length b = 0 then 0
-  else begin
-    match bytes with
-    | 1 -> byte_at b off
-    | 2 -> byte_at b off lor (byte_at b (off + 1) lsl 8)
-    | 4 ->
-      byte_at b off
-      lor (byte_at b (off + 1) lsl 8)
-      lor (byte_at b (off + 2) lsl 16)
-      lor (byte_at b (off + 3) lsl 24)
-    | _ ->
-      byte_at b off
-      lor (byte_at b (off + 1) lsl 8)
-      lor (byte_at b (off + 2) lsl 16)
-      lor (byte_at b (off + 3) lsl 24)
-      lor (byte_at b (off + 4) lsl 32)
-      lor (byte_at b (off + 5) lsl 40)
-      lor (byte_at b (off + 6) lsl 48)
-      lor (byte_at b (off + 7) lsl 56)
-  end
+  match bytes with
+  | 1 -> byte_at b off
+  | 2 -> byte_at b off lor (byte_at b (off + 1) lsl 8)
+  | 4 ->
+    byte_at b off
+    lor (byte_at b (off + 1) lsl 8)
+    lor (byte_at b (off + 2) lsl 16)
+    lor (byte_at b (off + 3) lsl 24)
+  | _ ->
+    byte_at b off
+    lor (byte_at b (off + 1) lsl 8)
+    lor (byte_at b (off + 2) lsl 16)
+    lor (byte_at b (off + 3) lsl 24)
+    lor (byte_at b (off + 4) lsl 32)
+    lor (byte_at b (off + 5) lsl 40)
+    lor (byte_at b (off + 6) lsl 48)
+    lor (byte_at b (off + 7) lsl 56)
 
 let write_in b off bytes v =
   match bytes with
@@ -321,45 +334,48 @@ let write_in b off bytes v =
 
 let[@inline] in_page addr bytes = addr land (page_size - 1) + bytes <= page_size
 
-(* Checked accesses: a table hit costs one compare. A page-straddling
-   access checks the second page too (faulting at its first byte) and
-   falls back to the per-byte path. *)
+(* Checked accesses: a table hit on a stored prefix costs one compare. A
+   page-straddling access checks the second page too (faulting at its
+   first byte) and falls back to the per-byte path. An in-page read
+   wholly past the stored prefix is zero, one that crosses its end goes
+   per byte, and an in-page write past it grows the page. *)
 let load t ~addr ~bytes =
   valid_width bytes;
   let s = checked_slot t addr `Read in
-  if in_page addr bytes then read_in (Array.unsafe_get t.tbl_data s) (addr land (page_size - 1)) bytes
+  let b = Array.unsafe_get t.tbl_data s and off = addr land (page_size - 1) in
+  if off + bytes <= Bytes.length b then read_in b off bytes
+  else if off >= Bytes.length b && in_page addr bytes then 0
   else begin
-    ignore (checked_slot t (addr + bytes - 1) `Read);
+    if not (in_page addr bytes) then ignore (checked_slot t (addr + bytes - 1) `Read);
     raw_load_straddle t addr bytes
   end
 
 let store t ~addr ~bytes v =
   valid_width bytes;
   let s = checked_slot t addr `Write in
-  if in_page addr bytes then begin
-    let b = Array.unsafe_get t.tbl_data s in
-    let b = if Bytes.length b > 0 then b else ensure_page t (addr lsr page_shift) in
-    write_in b (addr land (page_size - 1)) bytes v
-  end
+  let b = Array.unsafe_get t.tbl_data s and off = addr land (page_size - 1) in
+  if off + bytes <= Bytes.length b then write_in b off bytes v
+  else if in_page addr bytes then
+    write_in (ensure_page t (addr lsr page_shift) (off + bytes)) off bytes v
   else begin
     ignore (checked_slot t (addr + bytes - 1) `Write);
     raw_store_straddle t addr bytes v
   end
 
-let fetch_check t ~addr = ignore (checked_slot t addr `Exec)
-
 let peek t ~addr ~bytes =
   valid_width bytes;
   let s = slot_of t (addr lsr page_shift) in
   if s < 0 then raise (Fault { addr; access = `Read; reason = `Unmapped });
-  if in_page addr bytes then read_in (Array.unsafe_get t.tbl_data s) (addr land (page_size - 1)) bytes
+  let b = Array.unsafe_get t.tbl_data s and off = addr land (page_size - 1) in
+  if off + bytes <= Bytes.length b then read_in b off bytes
+  else if off >= Bytes.length b && in_page addr bytes then 0
   else raw_load_straddle t addr bytes
 
 let poke t ~addr ~bytes v =
   valid_width bytes;
   if not (is_mapped t addr) then raise (Fault { addr; access = `Write; reason = `Unmapped });
-  if in_page addr bytes then
-    write_in (ensure_page t (addr lsr page_shift)) (addr land (page_size - 1)) bytes v
+  let off = addr land (page_size - 1) in
+  if in_page addr bytes then write_in (ensure_page t (addr lsr page_shift) (off + bytes)) off bytes v
   else raw_store_straddle t addr bytes v
 
 (* Page-chunked copy-in: same semantics as a write_byte loop (no
@@ -372,13 +388,14 @@ let blit_in t ~addr s =
     let a = addr + !pos in
     let off = a land (page_size - 1) in
     let n = Stdlib.min (len - !pos) (page_size - off) in
-    let b = ensure_page t (a lsr page_shift) in
+    let b = ensure_page t (a lsr page_shift) (off + n) in
     Bytes.blit_string s !pos b off n;
     pos := !pos + n
   done
 
-(* Page-chunked copy-out: non-resident pages read as zeroes and are NOT
-   allocated (residency is unchanged, matching the read_byte loop). *)
+(* Page-chunked copy-out: bytes past a page's stored prefix, and whole
+   non-resident pages, read as zeroes and are NOT allocated (residency
+   is unchanged, matching the read_byte loop). *)
 let read_string t ~addr ~len =
   if len = 0 then ""
   else begin
@@ -389,7 +406,8 @@ let read_string t ~addr ~len =
       let off = a land (page_size - 1) in
       let n = Stdlib.min (len - !pos) (page_size - off) in
       (let b = page_or_empty t (a lsr page_shift) in
-       if Bytes.length b > 0 then Bytes.blit b off out !pos n);
+       let stored = Stdlib.min n (Bytes.length b - off) in
+       if stored > 0 then Bytes.blit b off out !pos stored);
       pos := !pos + n
     done;
     Bytes.unsafe_to_string out

@@ -4,7 +4,11 @@
     Reservations (VMAs) are interval-based, so reserving an 8 GiB Wasm
     guard region is O(1) — the 256,000-sandbox scalability experiment
     depends on this. Only pages that have actually been written are
-    resident and consume simulator memory.
+    resident and consume simulator memory, and a resident page stores
+    only a prefix of its bytes: 64 when every write so far ended within
+    them, otherwise all 4096. Bytes past the prefix read as zero, so the
+    prefix is invisible to every accessor; residency, minor faults and
+    {!resident_bytes} still count whole pages.
 
     This module maintains state and byte-accurate contents; cycle costs of
     the syscalls that manipulate it are charged by {!Kernel}.
@@ -13,10 +17,11 @@
     table of 256 entries indexed by page number (page [n] lives in slot
     [n mod 256], so pages [n] and [n + 256] evict each other). Each
     entry holds a mapped page's protection and its resident [Bytes] (or
-    none). A hit in {!load}, {!store}, {!peek} or {!perm_at} costs one
-    compare and allocates nothing; a miss fills the entry from the VMA
-    map and the page hashtable. Multi-byte accesses that stay inside
-    one page use single [Bytes] reads/writes; page-straddling accesses
+    none). A hit in {!load}, {!store}, {!peek} or {!perm_at} within the
+    stored prefix costs one compare and allocates nothing; a miss fills
+    the entry from the VMA map and the page hashtable. Multi-byte
+    accesses that stay inside one page's stored prefix use single
+    [Bytes] reads/writes; page-straddling and prefix-straddling accesses
     fall back to a per-byte path with identical semantics. Every
     mapping or residency mutation ({!mmap}, {!munmap}, {!mprotect},
     {!madvise_dontneed}) clears the table, so an entry can never
@@ -80,9 +85,6 @@ val load : t -> addr:int -> bytes:int -> int
 val store : t -> addr:int -> bytes:int -> int -> unit
 (** Permission-checked store; allocates the page on first touch and
     counts a minor fault. *)
-
-val fetch_check : t -> addr:int -> unit
-(** Check execute permission at [addr]; raises [Fault] otherwise. *)
 
 val peek : t -> addr:int -> bytes:int -> int
 (** Read ignoring permissions (debugger/loader view). Still faults on

@@ -37,33 +37,35 @@ let has_indirect_flow ~code_base prog =
       | _ -> false)
     uops
 
+let steps (conv : Sfi_opt.conv) =
+  let code_base = conv.Sfi_opt.code_base in
+  [
+    ("elide", fun p -> Sfi_opt.elide conv p);
+    ("reuse", fun p -> Sfi_opt.reuse conv p);
+    ("hoist", fun p -> Sfi_opt.hoist conv p);
+    ("rewrite", fun p -> Rewrite.run ~code_base p);
+    ("dce", fun p -> Dce.run_fix ~code_base p);
+  ]
+
 (* Run the full pipeline, recording each pass's output — the
    [hfi_cli opt] dump shows this list verbatim. *)
 let passes (conv : Sfi_opt.conv) prog =
   if has_indirect_flow ~code_base:conv.Sfi_opt.code_base prog then []
   else begin
-    let code_base = conv.Sfi_opt.code_base in
-    let steps =
-      [
-        ("elide", fun p -> Sfi_opt.elide conv p);
-        ("reuse", fun p -> Sfi_opt.reuse conv p);
-        ("hoist", fun p -> Sfi_opt.hoist conv p);
-        ("rewrite", fun p -> Rewrite.run ~code_base p);
-        ("dce", fun p -> Dce.run_fix ~code_base p);
-      ]
-    in
     let _, results =
       List.fold_left
         (fun (p, acc) (name, f) ->
           let p', n = f p in
           (p', { pass = name; prog = p'; changed = n } :: acc))
-        (prog, []) steps
+        (prog, []) (steps conv)
     in
     List.rev results
   end
 
+(* The pipeline's final program, without keeping any pass's output. *)
 let optimize conv prog =
-  match List.rev (passes conv prog) with [] -> prog | last :: _ -> last.prog
+  if has_indirect_flow ~code_base:conv.Sfi_opt.code_base prog then prog
+  else List.fold_left (fun p (_, f) -> fst (f p)) prog (steps conv)
 
 (* Total rewrites across the pipeline (experiment/bench reporting). *)
 let total_changed results = List.fold_left (fun acc r -> acc + r.changed) 0 results

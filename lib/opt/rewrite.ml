@@ -105,19 +105,37 @@ let run ~code_base prog =
     }
   in
   let count = ref 0 in
+  (* A block inherits the out-state of its single predecessor when that
+     comes earlier in RPO: [parent.(b)] is that predecessor (-1 when [b]
+     starts opaque) and [heirs.(p)] counts the blocks inheriting from
+     [p]. Only states with an heir still to come are kept: every heir
+     but the last copies, the last takes the state itself. *)
+  let parent = Array.make nb (-1) and heirs = Array.make nb 0 in
+  Array.iter
+    (fun b ->
+      if b <> 0 then
+        match List.sort_uniq Int.compare preds.(b) with
+        | [ p ] when rpo_index.(p) >= 0 && rpo_index.(p) < rpo_index.(b) ->
+          parent.(b) <- p;
+          heirs.(p) <- heirs.(p) + 1
+        | _ -> ())
+    order;
   let out_states = Array.make nb None in
-  let processed = Array.make nb false in
   let process_block b =
     let blk = cfg.Cfg.blocks.(b) in
     let st =
       if b = 0 then entry_state ctx
       else begin
-        match List.sort_uniq Int.compare preds.(b) with
-        | [ p ] when processed.(p) && rpo_index.(p) < rpo_index.(b) -> (
-          match out_states.(p) with
-          | Some (s : vstate) -> { reg_vn = Array.copy s.reg_vn; av = Array.copy s.av }
-          | None -> opaque_state ctx)
-        | _ -> opaque_state ctx
+        let p = parent.(b) in
+        match if p >= 0 then out_states.(p) else None with
+        | Some (s : vstate) ->
+          heirs.(p) <- heirs.(p) - 1;
+          if heirs.(p) > 0 then { reg_vn = Array.copy s.reg_vn; av = Array.copy s.av }
+          else begin
+            out_states.(p) <- None;
+            s
+          end
+        | None -> opaque_state ctx
       end
     in
     let set_reg d vn av =
@@ -338,8 +356,7 @@ let run ~code_base prog =
       | Uop.Ojcc _ | Uop.Ojmp_ind _ | Uop.Ohalt ->
         ()
     done;
-    out_states.(b) <- Some st;
-    processed.(b) <- true
+    if heirs.(b) > 0 then out_states.(b) <- Some st
   in
   Array.iter process_block order;
   if Edit.changed edit then (Edit.rebuild edit, !count) else (prog, 0)

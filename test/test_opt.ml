@@ -596,6 +596,47 @@ let test_rewrite_add_zero_identity () =
        (function Instr.Alu (Instr.Add, Reg.RBX, _) -> true | _ -> false)
        (Program.instrs p))
 
+(* Block 0 ends in a branch whose two successors each have block 0 as
+   their only predecessor, so both inherit its facts (RAX = 6, RBX = 7).
+   The first arm processed must get a copy: if it took block 0's state
+   itself, its own folds (RAX = 42, RBX = 8) would leak into the other
+   arm's facts. *)
+let test_rewrite_two_heirs_fold_from_branch_facts () =
+  let i c = Instr.Imm c and r x = Instr.Reg x in
+  let p, n =
+    Rewrite.run ~code_base:Layout.code_base
+      (Program.of_instrs
+         [|
+           Instr.Mov (Reg.RAX, i 6);
+           Instr.Mov (Reg.RBX, i 7);
+           Instr.Rdtsc Reg.RCX;
+           Instr.Cmp (Reg.RCX, i 0);
+           Instr.Jcc (Instr.Eq, 8);
+           Instr.Alu (Instr.Mul, Reg.RAX, r Reg.RBX);
+           Instr.Alu (Instr.Add, Reg.RBX, i 1);
+           Instr.Halt;
+           Instr.Alu (Instr.Add, Reg.RAX, r Reg.RBX);
+           Instr.Alu (Instr.Sub, Reg.RBX, i 2);
+           Instr.Halt;
+         |])
+  in
+  check_int "four folds" 4 n;
+  check_bool "both arms fold from block 0's facts" true
+    (Program.instrs p
+    = [|
+        Instr.Mov (Reg.RAX, i 6);
+        Instr.Mov (Reg.RBX, i 7);
+        Instr.Rdtsc Reg.RCX;
+        Instr.Cmp (Reg.RCX, i 0);
+        Instr.Jcc (Instr.Eq, 8);
+        Instr.Mov (Reg.RAX, i 42);
+        Instr.Mov (Reg.RBX, i 8);
+        Instr.Halt;
+        Instr.Mov (Reg.RAX, i 13);
+        Instr.Mov (Reg.RBX, i 5);
+        Instr.Halt;
+      |])
+
 let test_dce_removes_dead_def () =
   let p, n =
     Dce.run_fix ~code_base:Layout.code_base
@@ -896,6 +937,8 @@ let suite =
     Alcotest.test_case "rewrite: constant folding" `Quick test_rewrite_const_fold;
     Alcotest.test_case "rewrite: strength reduction" `Quick test_rewrite_strength_reduction;
     Alcotest.test_case "rewrite: add-zero identity" `Quick test_rewrite_add_zero_identity;
+    Alcotest.test_case "rewrite: two heirs fold from the branch block's facts" `Quick
+      test_rewrite_two_heirs_fold_from_branch_facts;
     Alcotest.test_case "dce: dead definition swept" `Quick test_dce_removes_dead_def;
     Alcotest.test_case "pipeline: golden pins (gobmk, gcc, perlbench)" `Quick test_opt_golden_pins;
     Alcotest.test_case "elide: provable checks stripped" `Quick test_elide_strips_provable_checks;

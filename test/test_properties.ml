@@ -172,6 +172,141 @@ let prop_addr_space_matches_reference =
           expected = actual)
         ops)
 
+(* --- Prefix pages vs a byte/residency reference --- *)
+
+(* A resident page stores only a prefix of its bytes (64, or the whole
+   page once a write ends past 64). Every access width and entry point
+   must still read what a plain byte map holds, and first touches and
+   residency must count whole pages. Offsets cluster at the start of a
+   page, around the 64-byte boundary and at the page end, so first
+   touch, growth and prefix-straddling reads all fire. *)
+
+let prefix_pages = 6
+
+type prefix_op =
+  | P_store of int * int * int  (* arena offset, width, value *)
+  | P_load of int * int
+  | P_poke of int * int * int
+  | P_peek of int * int
+  | P_blit of int * string
+  | P_read of int * int  (* arena offset, length *)
+  | P_madvise of int * int  (* page index, pages *)
+
+let gen_prefix_op =
+  let open QCheck.Gen in
+  let in_page =
+    frequency
+      [ (4, int_bound 72); (3, int_range 56 72); (1, int_range 4088 4095); (1, int_bound 4095) ]
+  in
+  let off = map2 (fun p o -> (p * page) + o) (int_bound (prefix_pages - 1)) in_page in
+  (* Keep every access inside the arena's last page. *)
+  let fit n o = Stdlib.min o ((prefix_pages * page) - n) in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  let value = int_bound max_int in
+  frequency
+    [
+      (4, map3 (fun o w v -> P_store (fit w o, w, v)) off width value);
+      (4, map2 (fun o w -> P_load (fit w o, w)) off width);
+      (2, map3 (fun o w v -> P_poke (fit w o, w, v)) off width value);
+      (2, map2 (fun o w -> P_peek (fit w o, w)) off width);
+      ( 2,
+        map2
+          (fun o s -> P_blit (fit (String.length s) o, s))
+          off
+          (string_size ~gen:(map Char.chr (int_range 1 255)) (int_range 1 150)) );
+      (2, map2 (fun o n -> P_read (fit n o, n)) off (int_range 1 200));
+      ( 1,
+        map2
+          (fun p n -> P_madvise (p, Stdlib.min n (prefix_pages - p)))
+          (int_bound (prefix_pages - 1)) (int_range 1 3) );
+    ]
+
+type prefix_ref = {
+  data : (int, int) Hashtbl.t;  (* arena offset -> byte *)
+  resident : (int, unit) Hashtbl.t;  (* page index *)
+  mutable faults : int;
+}
+
+let prefix_ref_write m o x =
+  let p = o / page in
+  if not (Hashtbl.mem m.resident p) then begin
+    Hashtbl.replace m.resident p ();
+    m.faults <- m.faults + 1
+  end;
+  Hashtbl.replace m.data o (x land 0xff)
+
+let prefix_ref_read m o = Option.value (Hashtbl.find_opt m.data o) ~default:0
+
+let prefix_ref_load m o w =
+  let v = ref 0 in
+  for i = w - 1 downto 0 do
+    v := (!v lsl 8) lor prefix_ref_read m (o + i)
+  done;
+  !v
+
+let show_prefix_op = function
+  | P_store (o, w, v) -> Printf.sprintf "store %d/%d %d" o w v
+  | P_load (o, w) -> Printf.sprintf "load %d/%d" o w
+  | P_poke (o, w, v) -> Printf.sprintf "poke %d/%d %d" o w v
+  | P_peek (o, w) -> Printf.sprintf "peek %d/%d" o w
+  | P_blit (o, s) -> Printf.sprintf "blit %d %S" o s
+  | P_read (o, n) -> Printf.sprintf "read %d+%d" o n
+  | P_madvise (p, n) -> Printf.sprintf "madvise page %d+%d" p n
+
+let prop_prefix_pages_match_reference =
+  QCheck.Test.make ~name:"addr_space prefix pages agree with a byte/residency reference" ~count:200
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_prefix_op ops))
+       QCheck.Gen.(list_size (int_range 10 60) gen_prefix_op))
+    (fun ops ->
+      let mem = Addr_space.create () in
+      Addr_space.mmap mem ~addr:arena_base ~len:(prefix_pages * page) Perm.rw;
+      let m = { data = Hashtbl.create 256; resident = Hashtbl.create 8; faults = 0 } in
+      let write_value o w v =
+        for i = 0 to w - 1 do
+          prefix_ref_write m (o + i) (v lsr (8 * i))
+        done
+      in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | P_store (o, w, v) ->
+              Addr_space.store mem ~addr:(arena_base + o) ~bytes:w v;
+              write_value o w v;
+              true
+            | P_poke (o, w, v) ->
+              Addr_space.poke mem ~addr:(arena_base + o) ~bytes:w v;
+              write_value o w v;
+              true
+            | P_load (o, w) -> Addr_space.load mem ~addr:(arena_base + o) ~bytes:w = prefix_ref_load m o w
+            | P_peek (o, w) -> Addr_space.peek mem ~addr:(arena_base + o) ~bytes:w = prefix_ref_load m o w
+            | P_blit (o, s) ->
+              Addr_space.blit_in mem ~addr:(arena_base + o) s;
+              String.iteri (fun i c -> prefix_ref_write m (o + i) (Char.code c)) s;
+              true
+            | P_read (o, n) ->
+              Addr_space.read_string mem ~addr:(arena_base + o) ~len:n
+              = String.init n (fun i -> Char.chr (prefix_ref_read m (o + i)))
+            | P_madvise (p, n) ->
+              Addr_space.madvise_dontneed mem ~addr:(arena_base + (p * page)) ~len:(n * page);
+              for k = p to p + n - 1 do
+                Hashtbl.remove m.resident k;
+                for i = 0 to page - 1 do
+                  Hashtbl.remove m.data ((k * page) + i)
+                done
+              done;
+              true
+          in
+          same
+          && Addr_space.minor_faults mem = m.faults
+          && List.for_all
+               (fun p ->
+                 Addr_space.resident_pages_in mem ~addr:(arena_base + (p * page)) ~len:page
+                 = if Hashtbl.mem m.resident p then 1 else 0)
+               (List.init prefix_pages Fun.id))
+        ops)
+
 (* --- Cache vs a brute-force LRU reference --- *)
 
 let prop_cache_matches_lru_reference =
@@ -998,6 +1133,7 @@ let test_proof_version_mismatch () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_addr_space_matches_reference;
+    QCheck_alcotest.to_alcotest prop_prefix_pages_match_reference;
     QCheck_alcotest.to_alcotest prop_multibyte_load_matches_bytewise;
     QCheck_alcotest.to_alcotest prop_multibyte_store_matches_bytewise;
     QCheck_alcotest.to_alcotest prop_load_after_remap_sees_new_mapping;

@@ -12,7 +12,9 @@
      yields no spans at all.
    - Regression gate: passes against an identical document, trips on an
      injected slowdown and on data drift, and refuses documents with
-     mismatched schema versions. *)
+     mismatched schema versions.
+   - CLI: [hfi serve --json --trace-jsonl F] prints one JSON document
+     on stdout and announces the export on stderr. *)
 
 module Obs = Hfi_obs.Obs
 module Slo = Hfi_obs.Slo
@@ -242,6 +244,37 @@ let test_gate_refuses_schema_mismatch () =
   | Ok _ -> Alcotest.fail "gate accepted mismatched schema versions"
   | Error _ -> ()
 
+(* v7 only added [alloc_mb]: a v6 baseline still gates a v7 run, and a
+   v5 one is still refused. *)
+let test_gate_compares_v6_with_v7 () =
+  let v7 = {|{"schema_version": 7, "mode": "quick", "experiments": []}|} in
+  let v6 = doc ~seconds:1.0 ~p99:50.0 in
+  (match Regression.compare_docs ~baseline:(parse v6) ~current:(parse v7) () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "gate refused a v6 baseline for a v7 run: %s" e);
+  let v5 = {|{"schema_version": 5, "mode": "quick", "experiments": []}|} in
+  match Regression.compare_docs ~baseline:(parse v5) ~current:(parse v7) () with
+  | Ok _ -> Alcotest.fail "gate accepted a v5 baseline for a v7 run"
+  | Error _ -> ()
+
+(* ---- serve --json stdout ---- *)
+
+(* test/dune captures stdout and stderr of [hfi serve --scenario steady
+   --quick --json --trace-jsonl F] next to the test executable. *)
+let read_beside_test file =
+  In_channel.with_open_bin
+    (Filename.concat (Filename.dirname Sys.executable_name) file)
+    In_channel.input_all
+
+let test_serve_json_stdout_is_one_document () =
+  (match Json.parse (read_beside_test "serve_steady_stdout.json") with
+  | Ok doc -> check_bool "strategies listed" true (Json.member "strategies" doc <> None)
+  | Error e -> Alcotest.failf "serve --json stdout is not one JSON document: %s" e);
+  let err = read_beside_test "serve_steady_stderr.txt" in
+  let notice = "wrote JSONL span trace: serve_steady_spans.jsonl" in
+  check_bool "export announced on stderr" true
+    (List.exists (String.starts_with ~prefix:notice) (String.split_on_char '\n' err))
+
 let suite =
   [
     Alcotest.test_case "quantile: empty histogram" `Quick test_quantile_empty;
@@ -267,4 +300,8 @@ let suite =
     Alcotest.test_case "gate trips on data drift" `Quick test_gate_trips_on_data_drift;
     Alcotest.test_case "gate skips timings under the floor" `Quick test_gate_skips_under_floor;
     Alcotest.test_case "gate refuses schema mismatches" `Quick test_gate_refuses_schema_mismatch;
+    Alcotest.test_case "gate compares v6 baselines with v7 runs" `Quick
+      test_gate_compares_v6_with_v7;
+    Alcotest.test_case "serve --json stdout is one JSON document" `Quick
+      test_serve_json_stdout_is_one_document;
   ]
