@@ -33,7 +33,6 @@ type sandbox_spec = {
 
 let code_region_slots = [ 0; 1 ]
 let implicit_data_slots = [ 2; 3; 4; 5 ]
-let explicit_data_slots = [ 6; 7; 8; 9 ]
 let region_count = 10
 
 let slot_kind slot =

@@ -51,9 +51,6 @@ val code_region_slots : int list
 val implicit_data_slots : int list
 (** [\[2; 3; 4; 5\]] *)
 
-val explicit_data_slots : int list
-(** [\[6; 7; 8; 9\]] *)
-
 val region_count : int
 (** 10 region register slots in total. *)
 

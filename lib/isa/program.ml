@@ -63,13 +63,6 @@ let fingerprint t =
 let decoded t = t.decoded
 let set_decoded t payload = t.decoded <- Some payload
 
-let static_stats t ~mem_ops ~branches =
-  Array.iter
-    (fun i ->
-      if Instr.is_mem_read i || Instr.is_mem_write i then incr mem_ops;
-      if Instr.is_branch i then incr branches)
-    t.instrs
-
 let pp ppf t =
   Array.iteri (fun i ins -> Format.fprintf ppf "%4d: %a@." i Instr.pp ins) t.instrs
 

@@ -35,9 +35,6 @@ val decoded : t -> exn option
 
 val set_decoded : t -> exn -> unit
 
-val static_stats : t -> mem_ops:int ref -> branches:int ref -> unit
-(** Count static memory ops and branches (for workload reporting). *)
-
 val pp : Format.formatter -> t -> unit
 
 (** Label-resolving assembler. Targets may be referenced before they are

@@ -35,14 +35,6 @@ exception
 
 exception Out_of_va_space
 
-(* The [access] field is folded into [detail]: the structured-fault
-   [Hardware_fault] kind carries no access, matching real page-fault
-   error codes which encode it as free-form bits. *)
-let fault_to_structured ~addr ~access ~reason =
-  let access = match access with `Read -> "read" | `Write -> "write" | `Exec -> "exec" in
-  let reason = match reason with `Unmapped -> "unmapped" | `Protection -> "protection" in
-  Hfi_util.Fault.make (Hfi_util.Fault.Hardware_fault { addr; detail = reason ^ " " ^ access })
-
 let create () =
   {
     vmas = Imap.empty;
@@ -435,7 +427,6 @@ let mapped_pages_in t ~addr ~len =
 let absent_pages_in t ~addr ~len =
   mapped_pages_in t ~addr ~len - resident_pages_in t ~addr ~len
 
-let vma_count_in t ~addr ~len = List.length (overlapping t addr (addr + len))
 let vma_count t = Imap.cardinal t.vmas
 let reserved_bytes t = t.reserved
 let resident_bytes t = Hashtbl.length t.pages * page_size

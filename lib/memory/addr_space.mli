@@ -37,13 +37,6 @@ exception
     reason : [ `Unmapped | `Protection ];
   }
 
-val fault_to_structured :
-  addr:int ->
-  access:[ `Read | `Write | `Exec ] ->
-  reason:[ `Unmapped | `Protection ] ->
-  Hfi_util.Fault.t
-(** Convert a {!Fault} payload into the structured fault model (a
-    [Hardware_fault] whose detail records reason and access). *)
 
 val create : unit -> t
 
@@ -112,7 +105,6 @@ val absent_pages_in : t -> addr:int -> len:int -> int
 (** Mapped-but-not-resident pages in the range — what a batched madvise
     has to walk over. *)
 
-val vma_count_in : t -> addr:int -> len:int -> int
 val vma_count : t -> int
 
 val reserved_bytes : t -> int

@@ -21,12 +21,8 @@ let page_fault = 2300
 let serialization_drain = 45
 let cpuid_drain = 130
 let hfi_set_region_cycles = 8
-let hfi_enter_unserialized = 10
-let hfi_exit_unserialized = 8
 let wrpkru = 24
 let mpk_per_transition_extra = 41
 let seccomp_filter_per_syscall = 86
-let springboard_transition = 110
-let zero_cost_transition = 5
 let process_context_switch = 4500
 let signal_delivery = 3100

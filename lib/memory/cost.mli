@@ -66,10 +66,6 @@ val cpuid_drain : int
 val hfi_set_region_cycles : int
 (** Move region metadata from memory into HFI metadata registers. *)
 
-val hfi_enter_unserialized : int
-val hfi_exit_unserialized : int
-(** Flag/register updates only, no drain — same order as a function call. *)
-
 val wrpkru : int
 (** MPK domain switch, ~20–30 cycles on Skylake-era cores (ERIM). *)
 
@@ -80,13 +76,6 @@ val seccomp_filter_per_syscall : int
 (** cBPF filter evaluation on every syscall when a seccomp program is
     installed; calibrated to the paper's 2.1% overhead on an
     open/read/close loop. *)
-
-val springboard_transition : int
-(** Heavyweight sandbox transition for untrusted native code: clear
-    caller-saved registers, switch stacks (§3.3.1). *)
-
-val zero_cost_transition : int
-(** Wasm zero-cost transition — a function call. *)
 
 val process_context_switch : int
 (** OS process context switch, for the IPC comparison in §2. *)

@@ -4,7 +4,6 @@ let none = { r = false; w = false; x = false }
 let r = { r = true; w = false; x = false }
 let rw = { r = true; w = true; x = false }
 let rx = { r = true; w = false; x = true }
-let rwx = { r = true; w = true; x = true }
 
 let allows t = function `Read -> t.r | `Write -> t.w | `Exec -> t.x
 let equal a b = a.r = b.r && a.w = b.w && a.x = b.x

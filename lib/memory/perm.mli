@@ -8,7 +8,6 @@ val none : t
 val r : t
 val rw : t
 val rx : t
-val rwx : t
 
 val allows : t -> [ `Read | `Write | `Exec ] -> bool
 val equal : t -> t -> bool

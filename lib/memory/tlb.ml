@@ -20,7 +20,6 @@ let create cfg =
 let access t addr = Cache.access t.cache addr
 let timed_access t addr = Cache.timed_access t.cache addr
 let flush_all t = Cache.flush_all t.cache
-let flush_page t addr = Cache.flush_line t.cache addr
 let hits t = Cache.hits t.cache
 let misses t = Cache.misses t.cache
 let reset t = Cache.reset t.cache

@@ -27,8 +27,6 @@ val timed_access : t -> int -> int
 val flush_all : t -> unit
 (** Full invalidation (context switch / shootdown). *)
 
-val flush_page : t -> int -> unit
-
 val hits : t -> int
 val misses : t -> int
 

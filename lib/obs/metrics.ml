@@ -55,7 +55,6 @@ let gauge ?(labels = []) name =
     (function Gauge g -> g | _ -> invalid_arg ("Metrics.gauge: " ^ key ^ " is not a gauge"))
 
 let set_gauge g v = if !Obs.metrics_enabled then Atomic.set g.g_v v
-let gauge_value g = Atomic.get g.g_v
 
 let histogram ?(labels = []) ~buckets name =
   let key = render_key name labels in

@@ -26,7 +26,6 @@ val value : counter -> int
 
 val gauge : ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : ?labels:(string * string) list -> buckets:float array -> string -> histogram
 (** [buckets] are increasing upper bounds; an implicit overflow bucket

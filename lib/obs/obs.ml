@@ -4,7 +4,6 @@ let profile_enabled = ref false
 
 let metrics_on () = !metrics_enabled
 let trace_on () = !trace_enabled
-let profile_on () = !profile_enabled
 let enabled () = !metrics_enabled || !trace_enabled || !profile_enabled
 
 let set_metrics b = metrics_enabled := b

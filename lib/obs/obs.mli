@@ -21,7 +21,6 @@ val profile_enabled : bool ref
 
 val metrics_on : unit -> bool
 val trace_on : unit -> bool
-val profile_on : unit -> bool
 
 val enabled : unit -> bool
 (** Any of the three subsystems on. *)

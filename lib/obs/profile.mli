@@ -38,7 +38,7 @@ val global : t
 
 val note : t -> cause -> float -> unit
 (** Add cycles to a bucket. Unguarded — callers check
-    {!Obs.profile_on} so the off path pays one branch, not a call. *)
+    [!Obs.profile_enabled] so the off path pays one branch, not a call. *)
 
 val get : t -> cause -> float
 val buckets : t -> (cause * float) list

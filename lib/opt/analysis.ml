@@ -1,13 +1,11 @@
 (* Forward interval analysis over the µop CFG — the optimizer's copy of
-   the static verifier's register-state fixpoint (lib/verify/checks.ml),
-   restricted to registers and the pending-compare snapshot. Both copies
-   share the worklist shape: per-target edge lists folded in source
-   order, and the sink rule ([Cfg.is_sink] blocks are solved once after
-   the narrowing drain, never re-joined on the worklist). Transfer
-   functions deliberately mirror the verifier instruction for
-   instruction: every bound this analysis proves, the verifier re-proves
-   on the optimized output, which is what makes check elision
-   translation-validated by construction.
+   the static verifier's register-state analysis (lib/verify/checks.ml),
+   restricted to registers and the pending-compare snapshot and solved
+   by the same driver, [Fixpoint.solve]. Transfer functions
+   deliberately mirror the verifier instruction for instruction: every
+   bound this analysis proves, the verifier re-proves on the optimized
+   output, which is what makes check elision translation-validated by
+   construction.
 
    [bound_cell] is the address of the trusted heap-size cell (written
    only by the prologue and memory.grow, never exceeding [heap_limit]);
@@ -20,7 +18,6 @@ type t = {
   uops : Uop.t array;
   cfg : Cfg.t;
   in_states : state option array;  (* per block; None = unreachable *)
-  converged : bool;
 }
 
 let join_cmp a b =
@@ -30,6 +27,14 @@ let join_cmp a b =
 let join_st a b =
   let cmp_reg, cmp_rhs = join_cmp a b in
   { regs = Array.init (Array.length a.regs) (fun i -> Domain.join a.regs.(i) b.regs.(i)); cmp_reg; cmp_rhs }
+
+(* a loop of its own: [Array.for_all2] allocates a closure per call *)
+let rec regs_equal a b i =
+  i = Array.length a || (Domain.equal a.(i) b.(i) && regs_equal a b (i + 1))
+
+let equal_st a b =
+  a == b
+  || a.cmp_reg = b.cmp_reg && Domain.equal a.cmp_rhs b.cmp_rhs && regs_equal a.regs b.regs 0
 
 let widen_st old next =
   let cmp_reg, cmp_rhs = join_cmp old next in
@@ -142,112 +147,19 @@ let simulate ~bound_cell ~heap_limit uops (cfg : Cfg.t) st0 (b : Cfg.block) =
     in
     taken_edge @ fall_edge
 
-let widen_threshold = 3
-
 let compute ?bound_cell ~heap_limit (uops : Uop.t array) (cfg : Cfg.t) =
-  let nb = Array.length cfg.Cfg.blocks in
-  let in_states = Array.make nb None in
-  let converged = ref true in
-  if nb > 0 then begin
-    let init = initial_state () in
-    let visits = Array.make nb 0 in
-    (* per target block: the latest contribution of each incoming edge,
-       as a list sorted by source block *)
-    let in_edges : (int * state) list array = Array.make nb [] in
-    let rec set_edge s st = function
-      | ((s', _) as e) :: rest when s' < s -> e :: set_edge s st rest
-      | (s', _) :: rest when s' = s -> (s, st) :: rest
-      | edges -> (s, st) :: edges
-    in
-    (* sinks stay off the worklist and are solved once after narrowing,
-       by the verifier's rule and exactness argument (lib/verify/checks.ml) *)
-    let sink = Array.map (Cfg.is_sink cfg) cfg.Cfg.blocks in
-    let queue = Queue.create () in
-    let on_queue = Array.make nb false in
-    let enqueue b =
-      if not on_queue.(b) then begin
-        on_queue.(b) <- true;
-        Queue.push b queue
-      end
-    in
-    let narrowing = ref false in
-    let joined_in b =
-      let acc = if b = 0 then Some init else None in
-      List.fold_left
-        (fun acc (_, s) -> Some (match acc with None -> s | Some a -> join_st a s))
-        acc in_edges.(b)
-    in
-    let recompute b =
-      match joined_in b with
-      | None -> ()
-      | Some j -> (
-        match in_states.(b) with
-        | None ->
-          in_states.(b) <- Some j;
-          enqueue b
-        | Some cur ->
-          if !narrowing then begin
-            if j <> cur then begin
-              in_states.(b) <- Some j;
-              enqueue b
-            end
-          end
-          else begin
-            let u = join_st cur j in
-            if u <> cur then begin
-              visits.(b) <- visits.(b) + 1;
-              in_states.(b) <- Some (if visits.(b) > widen_threshold then widen_st cur u else u);
-              enqueue b
-            end
-          end)
-    in
-    let process b =
-      on_queue.(b) <- false;
-      match in_states.(b) with
-      | None -> ()
-      | Some s ->
-        List.iter
-          (fun (t, contrib) ->
-            match List.assoc_opt b in_edges.(t) with
-            | Some old when old = contrib -> ()
-            | _ ->
-              in_edges.(t) <- set_edge b contrib in_edges.(t);
-              if not sink.(t) then recompute t)
-          (simulate ~bound_cell ~heap_limit uops cfg s cfg.Cfg.blocks.(b))
-    in
-    let drain budget =
-      let left = ref budget in
-      while (not (Queue.is_empty queue)) && !left > 0 do
-        decr left;
-        process (Queue.pop queue)
-      done;
-      Queue.is_empty queue
-    in
-    in_states.(0) <- Some init;
-    enqueue 0;
-    if not (drain ((200 * nb) + 1000)) then begin
-      (* below the fixpoint: states are not sound facts, drop them all
-         so no pass acts on them (the program is left unoptimized) *)
-      converged := false;
-      Array.fill in_states 0 nb None
-    end
-    else begin
-      narrowing := true;
-      Queue.clear queue;
-      Array.fill on_queue 0 nb false;
-      for b = 0 to nb - 1 do
-        match (in_states.(b), joined_in b) with
-        | Some cur, Some j when j <> cur -> in_states.(b) <- Some j
-        | _ -> ()
-      done;
-      for b = 0 to nb - 1 do
-        if in_states.(b) <> None then enqueue b
-      done;
-      ignore (drain (8 * nb));
-      Array.iteri (fun b is_sink -> if is_sink then in_states.(b) <- joined_in b) sink
-    end
-  end;
-  { uops; cfg; in_states; converged = !converged }
+  let fx =
+    Fixpoint.solve ~init:(initial_state ()) ~join:join_st ~widen:widen_st ~equal:equal_st
+      ~transfer:(fun s blk -> simulate ~bound_cell ~heap_limit uops cfg s blk)
+      cfg
+  in
+  (* below the fixpoint, states are not sound facts: drop them all so no
+     pass acts on them (the program is left unoptimized) *)
+  let in_states =
+    if fx.Fixpoint.converged then fx.Fixpoint.states
+    else Array.make (Array.length cfg.Cfg.blocks) None
+  in
+  { uops; cfg; in_states }
 
 (* Replay a block from its fixpoint in-state, presenting the register
    state just BEFORE each instruction to [f]. *)

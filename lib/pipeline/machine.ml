@@ -110,7 +110,6 @@ let regs t = t.regs
 let get_reg t r = Array.unsafe_get t.regs (Reg.index r)
 let set_reg t r v = Array.unsafe_set t.regs (Reg.index r) v
 let pc t = t.pc
-let set_pc t i = t.pc <- i
 let status t = t.status_
 let hfi t = t.hfi
 let kernel t = t.kernel

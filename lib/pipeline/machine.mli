@@ -100,7 +100,6 @@ val regs : t -> int array
 val get_reg : t -> Reg.t -> int
 val set_reg : t -> Reg.t -> int -> unit
 val pc : t -> int
-val set_pc : t -> int -> unit
 val status : t -> status
 val hfi : t -> Hfi.t
 val kernel : t -> Kernel.t

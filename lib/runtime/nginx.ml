@@ -1,10 +1,5 @@
 type mechanism = Native | Hfi_native | Mpk_erim
 
-let mechanism_name = function
-  | Native -> "native (unprotected keys)"
-  | Hfi_native -> "HFI native sandbox"
-  | Mpk_erim -> "MPK (ERIM)"
-
 let kib = 1024
 
 let file_sizes = [ 0; kib; 2 * kib; 4 * kib; 8 * kib; 16 * kib; 32 * kib; 64 * kib; 128 * kib ]

@@ -17,8 +17,6 @@
 
 type mechanism = Native | Hfi_native | Mpk_erim
 
-val mechanism_name : mechanism -> string
-
 val file_sizes : int list
 (** The Fig. 5 x-axis: 0 B to 128 KiB. *)
 

@@ -59,7 +59,3 @@ let draw_cold_stall rates rng =
 
 let draw_spurious_reject rates rng = Prng.float rng 1.0 < rates.verifier_reject
 let draw_poisoned rates rng = Prng.float rng 1.0 < rates.poison_tenants
-
-let fault_of ~tenant ~cycle kind =
-  Fault.make ~sandbox:(Printf.sprintf "tenant-%d" tenant) ~cycle
-    (Fault.Injected { point = "serving-" ^ attempt_fault_name kind; detail = "" })

@@ -41,7 +41,3 @@ val draw_cold_stall : rates -> Hfi_util.Prng.t -> float
 
 val draw_spurious_reject : rates -> Hfi_util.Prng.t -> bool
 val draw_poisoned : rates -> Hfi_util.Prng.t -> bool
-
-val fault_of : tenant:int -> cycle:int -> attempt_fault -> Hfi_util.Fault.t
-(** The typed {!Hfi_util.Fault.t} (kind [Injected]) an injected attempt
-    fault is recorded as. *)

@@ -73,8 +73,6 @@ let outcome_name = function
   | Rejected_unverified -> "rejected-unverified"
   | Failed -> "failed"
 
-let all_outcomes = [ Ok_first; Ok_retried; Shed; Breaker_open; Rejected_unverified; Failed ]
-
 type counters = {
   requests : int;
   ok : int;

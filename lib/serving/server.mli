@@ -60,7 +60,6 @@ type outcome =
   | Failed  (** retries exhausted or deadline exceeded *)
 
 val outcome_name : outcome -> string
-val all_outcomes : outcome list
 
 type counters = {
   requests : int;

@@ -3,7 +3,6 @@ type t = {
   mutable in_use : int list;  (* allocated domain ids *)
   mutable next : int;
   mutable active : int;
-  mutable switches : int;
   mutable cycles : float;
 }
 
@@ -11,7 +10,7 @@ exception Out_of_domains
 
 let max_domains = 15
 
-let create kernel = { kernel; in_use = []; next = 1; active = 0; switches = 0; cycles = 0.0 }
+let create kernel = { kernel; in_use = []; next = 1; active = 0; cycles = 0.0 }
 
 let allocate_domain t =
   if List.length t.in_use >= max_domains then raise Out_of_domains;
@@ -29,12 +28,10 @@ let assign_pages t ~domain ~addr ~len =
 
 let switch_to t ~domain =
   t.active <- domain;
-  t.switches <- t.switches + 1;
   let c = float_of_int (Cost.wrpkru + Cost.mpk_per_transition_extra) in
   t.cycles <- t.cycles +. c;
   c
 
 let active_domain t = t.active
 let domains_in_use t = List.length t.in_use
-let switch_count t = t.switches
 let cycles t = t.cycles

@@ -29,5 +29,4 @@ val switch_to : t -> domain:int -> float
 
 val active_domain : t -> int
 val domains_in_use : t -> int
-val switch_count : t -> int
 val cycles : t -> float

@@ -41,10 +41,6 @@ let exponential t ~mean =
   let u = Float.max 1e-12 (float t 1.0) in
   -.mean *. log u
 
-let pareto t ~shape ~scale =
-  let u = Float.max 1e-12 (float t 1.0) in
-  scale /. (u ** (1.0 /. shape))
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -38,9 +38,6 @@ val exponential : t -> mean:float -> float
 (** Exponential deviate with the given mean; used for request
     inter-arrival times. *)
 
-val pareto : t -> shape:float -> scale:float -> float
-(** Pareto deviate; used for heavy-tailed request/file sizes. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -4,8 +4,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 on the empty list. *)
 
-val mean_a : float array -> float
-
 val geomean : float list -> float
 (** Geometric mean; all inputs must be positive. 0 on the empty list. *)
 

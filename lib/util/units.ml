@@ -3,7 +3,6 @@ let mib = 1024 * kib
 let gib = 1024 * mib
 let tib = 1024 * gib
 let page_size = 4 * kib
-let wasm_page_size = 64 * kib
 let core_frequency_hz = 3.3e9
 
 let cycles_to_seconds ?(hz = core_frequency_hz) c = c /. hz

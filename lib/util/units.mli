@@ -10,9 +10,6 @@ val tib : int
 val page_size : int
 (** 4 KiB, the base page of the modeled x86-64 MMU. *)
 
-val wasm_page_size : int
-(** 64 KiB, Wasm's memory granule (and HFI large-region alignment). *)
-
 val core_frequency_hz : float
 (** Modeled core clock, 3.3 GHz. *)
 

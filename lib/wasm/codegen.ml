@@ -89,12 +89,6 @@ let finalize t =
   emit t Instr.Halt;
   Program.Asm.assemble t.b
 
-let instrs_per_load = function
-  | Hfi_sfi.Strategy.Guard_pages -> 1
-  | Hfi_sfi.Strategy.Bounds_checks -> 4
-  | Hfi_sfi.Strategy.Masking -> 3
-  | Hfi_sfi.Strategy.Hfi -> 1
-
 let emit_sandbox_enter t ~serialized =
   match t.strat with
   | Hfi_sfi.Strategy.Hfi ->

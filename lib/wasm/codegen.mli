@@ -74,9 +74,6 @@ val trap_sentinel : int
 val finalize : t -> Program.t
 (** Append the trap block and assemble. *)
 
-val instrs_per_load : Hfi_sfi.Strategy.t -> int
-(** Static cost of one heap load under the scheme (for reporting). *)
-
 val emit_sandbox_enter : t -> serialized:bool -> unit
 (** A sandbox (re-)entry at this point in the code: [hfi_enter] for the
     HFI strategy (serialized per the flag), nothing for software Wasm

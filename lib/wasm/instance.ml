@@ -114,7 +114,6 @@ let run_cycle ?fuel ?config ?engine t =
   Cycle_engine.result e
 
 let result_rax t = Machine.get_reg t.machine Reg.RAX
-let code_bytes t = Program.byte_size t.program
 
 let instantiate_emulated ?(multithreaded = false) ?(heap_max = Layout.heap_max) w =
   let mem = Addr_space.create () in

@@ -87,8 +87,6 @@ val run_cycle :
 val result_rax : t -> int
 (** RAX after the run — the module's return value. *)
 
-val code_bytes : t -> int
-
 val instantiate_emulated : ?multithreaded:bool -> ?heap_max:int -> workload -> t
 (** The compiler-based emulation build (§5.2): compile for HFI, then
     apply {!Emulation.transform}; runs with HFI disabled as a timing

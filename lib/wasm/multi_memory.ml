@@ -6,7 +6,6 @@ type t = {
   lru : int array;  (* recency stamp per region *)
   mutable stamp : int;
   mutable rebinds_ : int;
-  mutable rebind_cycles_ : float;
 }
 
 let regions = 4
@@ -31,7 +30,6 @@ let create ~strategy ~kernel ?hfi ~count ~bytes_each () =
     lru = Array.make regions 0;
     stamp = 0;
     rebinds_ = 0;
-    rebind_cycles_ = 0.0;
   }
 
 let count t = Array.length t.memories
@@ -52,8 +50,7 @@ let bind t ~memory_idx ~region =
     | Hfi.Continue | Hfi.Jump _ -> ()
     | Hfi.Trap r -> failwith ("Multi_memory.bind: " ^ Msr.to_string r)
   end);
-  t.bound.(region) <- memory_idx;
-  t.rebind_cycles_ <- t.rebind_cycles_ +. float_of_int Cost.hfi_set_region_cycles
+  t.bound.(region) <- memory_idx
 
 let region_for t ~memory =
   if memory < 0 || memory >= Array.length t.memories then invalid_arg "Multi_memory.region_for";
@@ -77,4 +74,3 @@ let region_for t ~memory =
     !victim
 
 let rebinds t = t.rebinds_
-let rebind_cycles t = t.rebind_cycles_

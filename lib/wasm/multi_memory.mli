@@ -30,5 +30,3 @@ val region_for : t -> memory:int -> int
 val rebinds : t -> int
 (** Number of [hfi_set_region] multiplexing operations performed beyond
     the initial four bindings. *)
-
-val rebind_cycles : t -> float

@@ -19,15 +19,6 @@ exception Return_exn
 exception Trap_exn of trap
 exception Out_of_fuel
 
-let trap_to_fault t =
-  let open Hfi_util in
-  match t with
-  | Out_of_bounds a ->
-    Fault.make (Fault.Wasm_trap (Printf.sprintf "out-of-bounds:%d" a)) ~addr:a
-  | Division_by_zero -> Fault.make (Fault.Wasm_trap "division-by-zero")
-  | Unreachable_executed -> Fault.make (Fault.Wasm_trap "unreachable")
-  | Call_stack_exhausted -> Fault.make (Fault.Wasm_trap "call-stack-exhausted")
-
 (* Arithmetic mirrors the machine model exactly (OCaml native-int
    semantics, 63-bit): the differential tests depend on both sides
    computing identically, not on true 64-bit wrap-around. *)

@@ -18,10 +18,6 @@ exception Out_of_fuel
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val trap_to_fault : trap -> Hfi_util.Fault.t
-(** The structured-fault rendering of an interpreter trap
-    ([Wasm_trap] kind). *)
-
 val run : ?fuel:int -> Wasm_ir.module_ -> outcome
 (** Execute the start function on a fresh instance. [fuel] bounds the
     interpreted instruction count (default 10M); exhausting it raises

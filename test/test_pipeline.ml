@@ -488,8 +488,83 @@ let test_trap_kinds_table () =
         check_bool (name ^ ": cycle recorded") true (f.Hfi_util.Fault.cycle <> None))
     cases
 
+(* ------------------------------------------------------------------ *)
+(* Fixpoint.solve on a toy interval domain                             *)
+
+let toy_cfg terms =
+  {
+    Cfg.blocks =
+      Array.mapi (fun id term -> { Cfg.id; first = id; last = id; term; succs = [] }) terms;
+    block_of_instr = Array.mapi (fun i _ -> i) terms;
+    ret_points = [];
+  }
+
+(* (lo, hi) with min_int/max_int as the infinities *)
+let itv_join (a, b) (c, d) = (Int.min a c, Int.max b d)
+let itv_widen (a, b) (c, d) = ((if c < a then min_int else a), if d > b then max_int else b)
+let itv_equal (a, b) (c, d) = a = c && b = d
+let succ_sat v = if v = max_int then v else v + 1
+
+(* x := 0; while x < 10 do x := x + 1 done; halt *)
+let test_fixpoint_loop_narrows () =
+  let cfg =
+    toy_cfg [| Cfg.Tjump 1; Cfg.Tcond { taken = 2; fall = Some 3 }; Cfg.Tjump 1; Cfg.Thalt |]
+  in
+  let transfer (lo, hi) (b : Cfg.block) =
+    let nonempty edges = List.filter (fun (_, (l, h)) -> l <= h) edges in
+    match b.Cfg.id with
+    | 0 -> [ (1, (0, 0)) ]
+    | 1 -> nonempty [ (2, (lo, Int.min hi 9)); (3, (Int.max lo 10, hi)) ]
+    | 2 -> [ (1, (succ_sat lo, succ_sat hi)) ]
+    | _ -> []
+  in
+  let r =
+    Fixpoint.solve ~init:(min_int, max_int) ~join:itv_join ~widen:itv_widen ~equal:itv_equal
+      ~transfer cfg
+  in
+  check_bool "converged" true r.Fixpoint.converged;
+  check_bool "stable" true r.Fixpoint.stable;
+  let show = function None -> "unreached" | Some (l, h) -> Printf.sprintf "[%d,%d]" l h in
+  let check_state b want =
+    Alcotest.(check string) (Printf.sprintf "block %d" b) want (show r.Fixpoint.states.(b))
+  in
+  (* the head was widened to [0,+inf]; narrowing recovers the bound *)
+  check_state 1 "[0,10]";
+  check_state 2 "[0,9]";
+  (* the exit is a sink, solved once as the join of its contributions *)
+  check_bool "exit is a sink" true (Cfg.is_sink cfg cfg.Cfg.blocks.(3));
+  check_state 3 "[10,10]"
+
+(* A "widening" that is no widening: the loop grows forever, so the
+   ascending phase stops at its budget of 200 pops per block + 1000. *)
+let test_fixpoint_budget_exhausted () =
+  let cfg = toy_cfg [| Cfg.Tjump 1; Cfg.Tjump 1 |] in
+  let r =
+    Fixpoint.solve ~init:(0, 0) ~join:itv_join ~widen:(fun _ next -> next) ~equal:itv_equal
+      ~transfer:(fun (lo, hi) _ -> [ (1, (lo, succ_sat hi)) ])
+      cfg
+  in
+  check_bool "not converged" false r.Fixpoint.converged;
+  check_bool "not stable" false r.Fixpoint.stable;
+  check_int "iterations = 200 * nb + 1000" ((200 * 2) + 1000) r.Fixpoint.iterations
+
+let test_fixpoint_empty_cfg () =
+  let r =
+    Fixpoint.solve ~init:(0, 0) ~join:itv_join ~widen:itv_widen ~equal:itv_equal
+      ~transfer:(fun _ _ -> [])
+      (toy_cfg [||])
+  in
+  check_bool "converged" true r.Fixpoint.converged;
+  check_bool "stable" true r.Fixpoint.stable;
+  check_int "no states" 0 (Array.length r.Fixpoint.states);
+  check_int "no iterations" 0 r.Fixpoint.iterations
+
 let suite =
   [
+    Alcotest.test_case "fixpoint: toy loop narrows to its bound" `Quick test_fixpoint_loop_narrows;
+    Alcotest.test_case "fixpoint: budget exhausted on a non-stabilising loop" `Quick
+      test_fixpoint_budget_exhausted;
+    Alcotest.test_case "fixpoint: empty CFG is converged and stable" `Quick test_fixpoint_empty_cfg;
     Alcotest.test_case "trap kinds: exact Msr per kind" `Quick test_trap_kinds_table;
     Alcotest.test_case "speculative ifetch gated by code region" `Quick
       test_speculative_ifetch_gated_by_code_region;
