@@ -85,7 +85,7 @@ let rounds (p : Liveness.prepared) =
 (* One [Edit.rebuild] at the end lays out every round's deletions at once. *)
 let run_fix ~code_base prog =
   let uops = Uop.decode prog ~code_base in
-  let dead, counts = rounds (Liveness.prepare uops (Cfg.build uops)) in
+  let dead, counts = rounds (Liveness.prepare uops (Cfg.build uops (Uop.layout prog ~code_base))) in
   let total = List.fold_left ( + ) 0 counts in
   if total = 0 then (prog, 0)
   else begin

@@ -60,7 +60,8 @@ let changed t = t.dirty
    surviving body, and one forward pass fills the output array. When the
    source program's µops are memoized at [code_base], the output's memo
    is seeded from them ([Uop.carry]): instructions copied unchanged keep
-   their µops, so the next pass does not decode the program again. *)
+   their µop records, so the next pass does not decode the program
+   again. *)
 let rebuild t =
   let n = Array.length t.orig in
   let target_map = Array.make (n + 1) 0 in

@@ -142,7 +142,7 @@ let allocate ~code_base ~allocatable ~avail ~scratch ~spill_base prog =
   done;
   if not !usable then None
   else begin
-    let live_p = Liveness.prepare uops (Cfg.build uops) in
+    let live_p = Liveness.prepare uops (Cfg.build uops (Uop.layout prog ~code_base)) in
     let ivs = intervals_of live_p (Liveness.solve live_p) ~allocatable in
     let phys = List.filteri (fun k _ -> k < avail) alloc_idx in
     let assign, spilled = scan ivs ~phys in

@@ -88,7 +88,7 @@ let record_holder ctx st vn r =
 
 let run ~code_base prog =
   let uops = Uop.decode prog ~code_base in
-  let cfg = Cfg.build uops in
+  let cfg = Cfg.build uops (Uop.layout prog ~code_base) in
   let nb = Array.length cfg.Cfg.blocks in
   let preds = Dom.preds_of cfg in
   let order = Dom.rpo cfg in

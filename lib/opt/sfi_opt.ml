@@ -118,7 +118,7 @@ let direct_access conv (edit : Edit.t) g =
 
 let decoded conv prog =
   let uops = Uop.decode prog ~code_base:conv.code_base in
-  (uops, Cfg.build uops)
+  (uops, Cfg.build uops (Uop.layout prog ~code_base:conv.code_base))
 
 (* ------------------------------------------------------------------ *)
 (* Elision.                                                            *)
@@ -178,6 +178,7 @@ let reuse conv prog =
   | Hfi_sfi.Strategy.Guard_pages | Hfi_sfi.Strategy.Hfi -> (prog, 0)
   | Hfi_sfi.Strategy.Bounds_checks | Hfi_sfi.Strategy.Masking ->
     let uops, cfg = decoded conv prog in
+    let layout = Uop.layout prog ~code_base:conv.code_base in
     let n = Array.length uops in
     let preds = Dom.preds_of cfg in
     let edit = Edit.create prog ~code_base:conv.code_base in
@@ -196,7 +197,7 @@ let reuse conv prog =
       let at = !i in
       (* crossing into a block head: the fact survives only if every
          path into the block comes from the block we just scanned *)
-      (if at > 0 && Uop.is_block_head uops at then
+      (if at > 0 && Uop.is_block_head layout at then
          let b = cfg.Cfg.block_of_instr.(at) in
          if List.sort_uniq Int.compare preds.(b) <> [ cfg.Cfg.block_of_instr.(at - 1) ] then fact := None);
       (match group_at conv uops at with
@@ -211,7 +212,7 @@ let reuse conv prog =
          else fact := Some key);
         (* the fact is only valid past the access if control can reach
            it solely through this check *)
-        (if Uop.is_block_head uops g.g_access then
+        (if Uop.is_block_head layout g.g_access then
            let ab = cfg.Cfg.block_of_instr.(g.g_access) in
            if List.sort_uniq Int.compare preds.(ab) <> [ cfg.Cfg.block_of_instr.(g.g_access - 1) ]
            then fact := None);

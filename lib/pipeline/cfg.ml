@@ -12,20 +12,21 @@ type term =
 type block = { id : int; first : int; last : int; term : term; succs : int list }
 type t = { blocks : block array; block_of_instr : int array; ret_points : int list }
 
-let build (uops : Uop.t array) =
+let build (uops : Uop.t array) (layout : Uop.layout) =
   let n = Array.length uops in
+  let block_last = layout.Uop.block_last in
   if n = 0 then { blocks = [||]; block_of_instr = [||]; ret_points = [] }
   else begin
     let heads = ref [] in
     for i = n - 1 downto 0 do
-      if Uop.is_block_head uops i then heads := i :: !heads
+      if Uop.is_block_head layout i then heads := i :: !heads
     done;
     let heads = Array.of_list !heads in
     let nb = Array.length heads in
     let block_of_instr = Array.make n 0 in
     Array.iteri
       (fun id first ->
-        for i = first to uops.(first).Uop.block_last do
+        for i = first to block_last.(first) do
           block_of_instr.(i) <- id
         done)
       heads;
@@ -45,7 +46,7 @@ let build (uops : Uop.t array) =
       | Uop.Return -> Tret
       | Uop.Stop -> Thalt
     in
-    let terms = Array.map (fun first -> term_of uops.(first).Uop.block_last) heads in
+    let terms = Array.map (fun first -> term_of block_last.(first)) heads in
     let ret_points =
       Array.to_list terms
       |> List.filter_map (function
@@ -66,7 +67,7 @@ let build (uops : Uop.t array) =
           {
             id;
             first = heads.(id);
-            last = uops.(heads.(id)).Uop.block_last;
+            last = block_last.(heads.(id));
             term = terms.(id);
             succs = succs_of terms.(id);
           })

@@ -1,8 +1,8 @@
 (** Control-flow graph over a decoded program.
 
-    Blocks are the {!Hfi_pipeline.Uop} basic-block extents: leaders are
-    the entry, static branch targets and fallthroughs of block-ending
-    instructions, so the graph partitions exactly the instruction runs
+    Blocks are the {!Hfi_pipeline.Uop.layout} basic-block extents:
+    leaders are the entry, static branch targets and fallthroughs of
+    block-ending instructions, so the graph partitions exactly the instruction runs
     the dispatch loop executes. Edges cover the statically resolvable
     flows; indirect jumps/calls get no build-time edges (the verifier
     adds edges it can resolve during fixpoint, and anything unresolved
@@ -41,7 +41,9 @@ type t = {
           call site; the successor set of every [Tret] *)
 }
 
-val build : Uop.t array -> t
+val build : Uop.t array -> Uop.layout -> t
+(** The graph of a program's µops and their layout (as {!Uop.decode}
+    and {!Uop.layout} give them). *)
 
 val is_sink : t -> block -> bool
 (** A block other than the entry whose terminator can yield no

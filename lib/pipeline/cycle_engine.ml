@@ -235,10 +235,10 @@ let btb_stall t =
 
 (* Timing for one committed instruction, given what architecturally
    happened. All static properties (length, operand registers, latency,
-   criticality) come pre-decoded from the µop and the dynamic ones from
-   the machine's event slot; the dynamic hooks (caches, TLB, predictor,
-   wrong-path speculation) still fire per committed instruction, so
-   modeled cycles are unchanged. *)
+   criticality) come pre-decoded from the µop, and the position and the
+   dynamic ones from the machine's event slot; the dynamic hooks
+   (caches, TLB, predictor, wrong-path speculation) still fire per
+   committed instruction, so modeled cycles are unchanged. *)
 let account t (u : Uop.t) (ev : Machine.event) =
   (* One flag load each per committed instruction; with observability off
      everything below behaves exactly as before (same arithmetic, same
@@ -249,7 +249,7 @@ let account t (u : Uop.t) (ev : Machine.event) =
   let clock0 = Array.unsafe_get clock 0 in
   let issue_step = issue_step t.cfg.issue_width in
   (* Fetch: i-cache miss stalls the front end. *)
-  let fetch_addr = u.Uop.fetch_addr in
+  let fetch_addr = ev.Machine.fetch_addr in
   let fetch_line = fetch_addr / 64 in
   let fetch_penalty =
     match Cache.access t.icache fetch_addr with
@@ -352,7 +352,7 @@ let account t (u : Uop.t) (ev : Machine.event) =
     if wait <> 0.0 then Profile.note Profile.global (cause_of_blame wait_blame) wait
   end;
   (* Branch prediction and wrong-path execution. *)
-  let pc = u.Uop.index in
+  let pc = ev.Machine.index in
   (match ev.Machine.branch with
   | Machine.No_branch | Machine.Uncond -> ()
   | Machine.Cond ->

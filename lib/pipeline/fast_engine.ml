@@ -88,8 +88,8 @@ let[@inline] issue_step (w : float) = if w = 4.0 then 0.25 else 1.0 /. w
    without flambda every [:=] on a float ref boxes, and this runs once
    per simulated instruction. The addition order is exactly the order
    the old imperative code used, so cycle totals are bit-identical.
-   Static cost properties come pre-decoded from the µop; the dynamic
-   ones are read from the machine's event slot. *)
+   Static cost properties come pre-decoded from the µop; the position
+   and the dynamic ones are read from the machine's event slot. *)
 let account t (u : Uop.t) (ev : Machine.event) =
   let cfg = t.cfg in
   let c =
@@ -107,7 +107,7 @@ let account t (u : Uop.t) (ev : Machine.event) =
   let c =
     if not cfg.model_caches then c
     else begin
-      let fetch_addr = u.Uop.fetch_addr in
+      let fetch_addr = ev.Machine.fetch_addr in
       let line = fetch_addr / 64 in
       let c =
         match Cache.access t.icache fetch_addr with
@@ -150,7 +150,7 @@ let account t (u : Uop.t) (ev : Machine.event) =
      engine, but without wrong-path execution. Squash/drain trace events
      mirror the cycle engine's (no transient count, dur = the analytic
      penalty); emission never touches the accumulator. *)
-  let pc = u.Uop.index in
+  let pc = ev.Machine.index in
   let c =
     match ev.Machine.branch with
     | Machine.Cond ->

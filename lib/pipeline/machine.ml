@@ -3,6 +3,8 @@ type access = { addr : int; bytes : int; write : bool; via_hmov : bool }
 type branch_kind = No_branch | Cond | Uncond | Indirect | Call_k | Ret_k
 
 type event = {
+  mutable index : int;
+  mutable fetch_addr : int;
   mutable has_mem : bool;
   mutable mem_addr : int;
   mutable mem_bytes : int;
@@ -30,6 +32,8 @@ type t = {
   prog : Program.t;
   code_base : int;
   uops : Uop.t array;  (* pre-decoded, shared per program via Uop.decode *)
+  block_last : int array;  (* the program's Uop.layout *)
+  fetch_addr : int array;
   mem_ : Addr_space.t;
   kernel : Kernel.t;
   hfi : Hfi.t;
@@ -64,12 +68,15 @@ let decode_dispatch =
 let dispatch_tier () = if !decode_dispatch then "uop" else "ast"
 
 let create ?signal_handler ~prog ~code_base ~mem ~kernel ~hfi ~entry () =
+  let layout = Uop.layout prog ~code_base in
   {
     regs = Array.make Reg.count 0;
     pc = entry;
     prog;
     code_base;
     uops = Uop.decode prog ~code_base;
+    block_last = layout.Uop.block_last;
+    fetch_addr = layout.Uop.fetch_addr;
     mem_ = mem;
     kernel;
     hfi;
@@ -85,6 +92,8 @@ let create ?signal_handler ~prog ~code_base ~mem ~kernel ~hfi ~entry () =
     resume = None;
     ev =
       {
+        index = 0;
+        fetch_addr = 0;
         has_mem = false;
         mem_addr = 0;
         mem_bytes = 0;
@@ -120,7 +129,7 @@ let instr_count t = t.instr_count
 let last_signal t = t.last_signal
 let last_fault t = t.last_fault
 
-let addr_of_index t i = t.uops.(i).Uop.fetch_addr
+let addr_of_index t i = t.fetch_addr.(i)
 
 let index_of_addr t a =
   if a < t.code_base then None else Program.index_of_byte t.prog (a - t.code_base)
@@ -220,8 +229,8 @@ let trace_commit t (u : Uop.t) =
    | Instr.Hfi_enter _ -> Hfi_obs.Trace.(emit Transition ~ts ~a:0)
    | Instr.Hfi_exit -> Hfi_obs.Trace.(emit Transition ~ts ~a:1)
    | Instr.Hfi_reenter -> Hfi_obs.Trace.(emit Transition ~ts ~a:2)
-   | Instr.Syscall -> Hfi_obs.Trace.(emit Syscall ~ts ~a:u.Uop.index)
-   | _ -> Hfi_obs.Trace.(emit Commit ~ts ~a:u.Uop.index));
+   | Instr.Syscall -> Hfi_obs.Trace.(emit Syscall ~ts ~a:t.ev.index)
+   | _ -> Hfi_obs.Trace.(emit Commit ~ts ~a:t.ev.index));
   match t.last_signal with
   | Some reason when t.ev.signalled -> Hfi_obs.Trace.(emit Fault ~ts ~a:(Msr.encode reason))
   | _ -> ()
@@ -231,7 +240,9 @@ let trace_commit t (u : Uop.t) =
    a bool or a constant constructor, so the stores need no write barrier
    and a step allocates nothing for its event. *)
 
-let[@inline] begin_event ev ~serializing =
+let[@inline] begin_event ev ~index ~fetch_addr ~serializing =
+  ev.index <- index;
+  ev.fetch_addr <- fetch_addr;
   ev.has_mem <- false;
   ev.branch <- No_branch;
   ev.serializing <- serializing;
@@ -319,7 +330,7 @@ let step t (observe : Uop.t -> event -> unit) =
       let ins = Program.get t.prog index in
       let pc_addr = addr_of_index t index in
       let ev = t.ev in
-      begin_event ev
+      begin_event ev ~index ~fetch_addr:pc_addr
         ~serializing:(match ins with Instr.Cpuid | Instr.Mfence -> true | _ -> false);
       let fallthrough = index + 1 in
       let next = ref fallthrough in
@@ -533,13 +544,13 @@ let hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write =
       raise (Trap_exn (Msr.Bounds_violation v))
   end
 
-(* One fused step over a µop (the caller validated the pc). Mirrors
-   [step] case-for-case and fills the same event slot. *)
-let step_uop t (u : Uop.t) (observe : Uop.t -> event -> unit) =
-  let pc_addr = u.Uop.fetch_addr in
+(* One fused step over the µop [u] at [index] (the caller validated the
+   pc). Mirrors [step] case-for-case and fills the same event slot. *)
+let step_uop t (u : Uop.t) ~index (observe : Uop.t -> event -> unit) =
+  let pc_addr = Array.unsafe_get t.fetch_addr index in
   let ev = t.ev in
-  begin_event ev ~serializing:u.Uop.base_serializing;
-  let fallthrough = u.Uop.index + 1 in
+  begin_event ev ~index ~fetch_addr:pc_addr ~serializing:u.Uop.base_serializing;
+  let fallthrough = index + 1 in
   let next = ref fallthrough in
   t.instr_count <- t.instr_count + 1;
   (try
@@ -709,6 +720,7 @@ let step_uop t (u : Uop.t) (observe : Uop.t -> event -> unit) =
    back to the outer loop. *)
 let run_uop t ~fuel observe =
   let uops = t.uops in
+  let block_last = t.block_last in
   let len = Array.length uops in
   let remaining = ref fuel in
   let rec outer () =
@@ -721,12 +733,12 @@ let run_uop t ~fuel observe =
         else begin
           (* t.pc is validated above and the inner loop only advances to
              indices <= block_last < len, so unsafe_get is in bounds. *)
-          let last = (Array.unsafe_get uops t.pc).Uop.block_last in
+          let last = Array.unsafe_get block_last t.pc in
           let i = ref t.pc in
           let inner = ref true in
           while !inner do
             let u = Array.unsafe_get uops !i in
-            match step_uop t u observe with
+            match step_uop t u ~index:!i observe with
             | Running ->
               decr remaining;
               if !remaining > 0 && !i < last && t.pc = !i + 1 then incr i
@@ -797,6 +809,7 @@ let speculate t ~start ~fuel effects =
   let sregs = t.shadow in
   Array.blit t.regs 0 sregs 0 (Array.length sregs);
   let uops = t.uops in
+  let fetch_addr = t.fetch_addr in
   let len = Array.length uops in
   let scmp_a = ref t.cmp_a and scmp_b = ref t.cmp_b in
   (* Transient view of the HFI enable bit; region registers are read from
@@ -813,11 +826,12 @@ let speculate t ~start ~fuel effects =
   let stop = ref false in
   while (not !stop) && !executed < fuel && !pc >= 0 && !pc < len do
     let u = Array.unsafe_get uops !pc in
+    let addr = Array.unsafe_get fetch_addr !pc in
     (* Decode-stage code-region gate (§4.1): out-of-region transient
        instructions become faulting NOPs and never execute. *)
-    if !hfi_on && not (ifetch_ok t ~addr:u.Uop.fetch_addr) then stop := true
+    if !hfi_on && not (ifetch_ok t ~addr) then stop := true
     else begin
-      effects.spec_fetch u.Uop.fetch_addr;
+      effects.spec_fetch addr;
       incr executed;
       let next = ref (!pc + 1) in
       (match u.Uop.op with

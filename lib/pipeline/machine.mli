@@ -9,7 +9,13 @@
 
     Branch targets are instruction indices; the code is modeled as loaded
     at [code_base], and stack/handler addresses are byte addresses mapped
-    back to indices via {!Hfi_isa.Program.index_of_byte}. *)
+    back to indices via {!Hfi_isa.Program.index_of_byte}.
+
+    The machine runs the program's shared, read-only {!Uop.t} records,
+    which hold no position: the same record stands for every position of
+    an equal instruction. Where the executing instruction sits comes from
+    the program's {!Uop.layout}, and each step writes it into the
+    {!event} ([index], [fetch_addr]) that observers receive. *)
 
 type t
 
@@ -39,9 +45,11 @@ type branch_kind =
     keeps anything past it must copy the fields it needs (see {!access}).
     Every mutable field is an int, a bool or a constant constructor,
     and kernel time sits unboxed in a one-element float array. The
-    executed instruction itself is the {!Uop.t} passed alongside (its
-    [index] and [instr]). *)
+    executed instruction's decoded form is the {!Uop.t} passed alongside;
+    its position is here, since the µop is shared across positions. *)
 type event = {
+  mutable index : int;  (** instruction index of the committed instruction *)
+  mutable fetch_addr : int;  (** its byte address ({!addr_of_index}) *)
   mutable has_mem : bool;  (** a data access happened; the [mem_*] fields describe it *)
   mutable mem_addr : int;
   mutable mem_bytes : int;

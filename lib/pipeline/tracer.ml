@@ -44,7 +44,7 @@ let trace ?(limit = 200) m =
              Some
                {
                  seq = !seq;
-                 index = u.Uop.index;
+                 index = ev.Machine.index;
                  disasm = Instr.to_string instr;
                  reg_writes = writes;
                  mem = Machine.access ev;

@@ -1,10 +1,17 @@
-(* Pre-decoded µops: each static instruction of a program is lowered
+(* Pre-decoded µops: each distinct instruction of a program is lowered
    once into a flat record — resolved register indices, immediates,
-   precomputed cost metadata, basic-block extent — so the interpreter
-   and both timing engines run a tight loop over arrays instead of
-   re-pattern-matching the [Instr.t] AST and re-allocating operand
-   lists on every dynamic instruction (the decoded-µop cache gem5 keys
-   off [StaticInst] for).
+   precomputed cost metadata — so the interpreter and both timing
+   engines run a tight loop over arrays instead of re-pattern-matching
+   the [Instr.t] AST and re-allocating operand lists on every dynamic
+   instruction (gem5's [StaticInst]: one decoded object per distinct
+   instruction, shared by every dynamic instance, with the PC kept
+   outside it).
+
+   A µop holds nothing about where it sits: the position-dependent
+   facts (basic-block extent, fetch address) live in the program's
+   [layout], two int arrays. Structurally equal instructions therefore
+   share one record, within a program and, through [carry], across the
+   programs the optimizer derives from it.
 
    Decoding is purely derived state: every field is computed by the
    same [Instr] functions the engines previously called per dynamic
@@ -73,9 +80,7 @@ type cost_class = Cmul | Cdiv | Calu | Cload | Cstore | Cbranch | Cother
 type t = {
   op : op;
   instr : Instr.t;  (* original AST, for trap paths / tracing / pp *)
-  index : int;
   length : int;  (* Instr.length, in bytes *)
-  fetch_addr : int;  (* code_base + byte offset *)
   reads : int array;  (* Reg.index of Instr.reads, in order *)
   writes : int array;
   off_critical : bool;  (* resolved off the issue critical path *)
@@ -83,25 +88,12 @@ type t = {
   is_cpuid : bool;
   latency : float;  (* cycle-engine execution latency *)
   cost_class : cost_class;
-  block_last : int;  (* index of the last instruction of this basic block *)
 }
 
-let nop =
-  {
-    op = Onop;
-    instr = Instr.Nop;
-    index = -1;
-    length = Instr.length Instr.Nop;
-    fetch_addr = 0;
-    reads = [||];
-    writes = [||];
-    off_critical = false;
-    base_serializing = false;
-    is_cpuid = false;
-    latency = 1.0;
-    cost_class = Cother;
-    block_last = -1;
-  }
+type layout = {
+  block_last : int array;  (* index of the last instruction of each one's basic block *)
+  fetch_addr : int array;  (* code_base + byte offset of each instruction *)
+}
 
 let ridx = function Some r -> Reg.index r | None -> -1
 
@@ -309,15 +301,13 @@ let reg_array = function
   | regs -> fill_regs (Array.make (List.length regs) 0) 0 regs
 
 (* One instruction's µop. Every field of every decoded program is
-   defined here: [decode_fresh] lowers each instruction through it, and
-   [carry] through it for each instruction it cannot copy. *)
-let lower ins ~index ~fetch_addr ~block_last =
+   defined here: [decode_fresh] lowers each distinct instruction through
+   it, and [carry] each instruction it cannot reuse. *)
+let lower ins =
   {
     op = lower_op ins;
     instr = ins;
-    index;
     length = Instr.length ins;
-    fetch_addr;
     reads = reg_array (Instr.reads ins);
     writes = reg_array (Instr.writes ins);
     off_critical = off_critical_of ins;
@@ -325,17 +315,32 @@ let lower ins ~index ~fetch_addr ~block_last =
     is_cpuid = (match ins with Instr.Cpuid -> true | _ -> false);
     latency = latency_of ins;
     cost_class = cost_class_of ins;
-    block_last;
+  }
+
+(* [lower] behind a table keyed by the instruction value, so that
+   structurally equal instructions get one shared µop. The table is
+   sized to the program: a fixed large one costs more than the lowering
+   for the 30-odd-instruction FaaS kernels. *)
+let interner n =
+  let tbl = Hashtbl.create (max 16 n) in
+  fun ins ->
+    match Hashtbl.find tbl ins with
+    | u -> u
+    | exception Not_found ->
+      let u = lower ins in
+      Hashtbl.add tbl ins u;
+      u
+
+let layout_of prog ~code_base =
+  let instrs = Program.instrs prog in
+  {
+    block_last = block_lasts instrs;
+    fetch_addr = Array.init (Array.length instrs) (fun i -> code_base + Program.byte_offset prog i);
   }
 
 let decode_fresh prog ~code_base =
   let instrs = Program.instrs prog in
-  let lasts = block_lasts instrs in
-  Array.mapi
-    (fun index ins ->
-      lower ins ~index ~fetch_addr:(code_base + Program.byte_offset prog index)
-        ~block_last:lasts.(index))
-    instrs
+  (Array.map (interner (Array.length instrs)) instrs, layout_of prog ~code_base)
 
 (* ------------------------------------------------------------------ *)
 (* Read-only control-flow view (for the static verifier).              *)
@@ -379,50 +384,45 @@ let static_successors uops i =
 (* i is a leader iff it starts the program or the previous instruction
    closed its block ([block_last] extents and leaders agree by
    construction in [block_lasts]). *)
-let is_block_head uops i =
-  if i < 0 || i >= Array.length uops then invalid_arg "Uop.is_block_head";
-  i = 0 || uops.(i - 1).block_last = i - 1
-
-let block_head uops i =
-  if i < 0 || i >= Array.length uops then invalid_arg "Uop.block_head";
-  let rec back j = if is_block_head uops j then j else back (j - 1) in
-  back i
+let is_block_head layout i =
+  if i < 0 || i >= Array.length layout.block_last then invalid_arg "Uop.is_block_head";
+  i = 0 || layout.block_last.(i - 1) = i - 1
 
 (* Per-program decode cache, stored on the program itself through
-   [Program.set_decoded]'s universal slot. fetch_addr bakes in the code
-   base, so the cache is keyed by it (a different base re-decodes). The
-   payload is an [exn] so [Program] needs no knowledge of this type. *)
-exception Decoded of int * t array
+   [Program.set_decoded]'s universal slot. The layout's fetch addresses
+   bake in the code base, so the cache is keyed by it (a different base
+   re-decodes). The payload is an [exn] so [Program] needs no knowledge
+   of this type. *)
+exception Decoded of int * (t array * layout)
 
 let memoized prog ~code_base =
   match Program.decoded prog with
-  | Some (Decoded (base, uops)) when base = code_base -> Some uops
+  | Some (Decoded (base, (uops, _))) when base = code_base -> Some uops
   | _ -> None
 
-let decode prog ~code_base =
-  match memoized prog ~code_base with
-  | Some uops -> uops
-  | None ->
-    let uops = decode_fresh prog ~code_base in
-    Program.set_decoded prog (Decoded (code_base, uops));
-    uops
+let decoded prog ~code_base =
+  match Program.decoded prog with
+  | Some (Decoded (base, d)) when base = code_base -> d
+  | _ ->
+    let d = decode_fresh prog ~code_base in
+    Program.set_decoded prog (Decoded (code_base, d));
+    d
 
-(* An instruction copied from [src] keeps its µop's position-independent
-   fields (operands, cost metadata); [index], [fetch_addr] and
-   [block_last] depend on the new layout and are recomputed. The copy is
-   taken only when the instruction is physically the one [src] decoded,
-   so a retargeted branch or a replacement is lowered afresh. *)
+let decode prog ~code_base = fst (decoded prog ~code_base)
+let layout prog ~code_base = snd (decoded prog ~code_base)
+
+(* An instruction copied from [src] unchanged, physically or
+   structurally, keeps [src]'s µop itself: µops hold no position, so
+   only the layout is recomputed. A retargeted branch or a replacement
+   is lowered afresh. *)
 let carry src ~origin prog ~code_base =
   let instrs = Program.instrs prog in
-  let lasts = block_lasts instrs in
+  let intern = interner (Array.length instrs) in
   let uops =
     Array.mapi
-      (fun index ins ->
-        let fetch_addr = code_base + Program.byte_offset prog index in
-        let block_last = lasts.(index) in
-        let o = origin.(index) in
-        if o >= 0 && src.(o).instr == ins then { (src.(o)) with index; fetch_addr; block_last }
-        else lower ins ~index ~fetch_addr ~block_last)
+      (fun j ins ->
+        let o = origin.(j) in
+        if o >= 0 && (src.(o).instr == ins || src.(o).instr = ins) then src.(o) else intern ins)
       instrs
   in
-  Program.set_decoded prog (Decoded (code_base, uops))
+  Program.set_decoded prog (Decoded (code_base, (uops, layout_of prog ~code_base)))

@@ -1,18 +1,25 @@
 (** Pre-decoded µops.
 
-    Each static instruction of a {!Hfi_isa.Program.t} is lowered once
+    Each distinct instruction of a {!Hfi_isa.Program.t} is lowered once
     into a flat record: operand registers resolved to [Reg.index] ints,
     immediates extracted, cost metadata (latency, cost class, encoded
-    length, off-critical-path flag) precomputed, and basic-block extents
-    attached so the interpreter can run straight-line runs in a tight
-    inner loop. Every field is derived by the same [Instr] functions the
-    engines previously called per dynamic instruction, so consuming the
-    decoded form cannot change modeled cycle counts.
+    length, off-critical-path flag) precomputed. Every field is derived
+    by the same [Instr] functions the engines previously called per
+    dynamic instruction, so consuming the decoded form cannot change
+    modeled cycle counts.
 
-    The decoded array is memoized on the program itself (via
-    {!Hfi_isa.Program.set_decoded}), keyed by the code base address.
-    Programs the optimizer rebuilds arrive with their µops already
-    memoized ({!carry}), equal to what {!decode_fresh} gives. *)
+    A µop is position-free and read-only. It records nothing about where
+    its instruction sits, so structurally equal instructions share one
+    record, at every position of a program and across the programs the
+    optimizer derives from it ({!carry}). Where an instruction sits is
+    the program's {!layout}: its basic-block extent and fetch address.
+    At run time the executing position travels in the machine's event
+    ({!Machine.event}'s [index] and [fetch_addr]), not in the µop.
+
+    The decoded array and the layout are memoized together on the
+    program itself (via {!Hfi_isa.Program.set_decoded}), keyed by the
+    code base address. Programs the optimizer rebuilds arrive with them
+    already memoized ({!carry}), equal to what {!decode_fresh} gives. *)
 
 (** Pre-resolved operand form of [Instr.t]. Register operands are
     [Reg.index] ints; -1 means "absent" (no base/index register,
@@ -73,34 +80,42 @@ type op =
 (** Fast-engine base-cost class, mirroring its per-instruction match. *)
 type cost_class = Cmul | Cdiv | Calu | Cload | Cstore | Cbranch | Cother
 
+(** One distinct instruction, decoded. Read-only: a record is shared by
+    every position holding an equal instruction and by every program
+    carried from this one, and the empty and one-register [reads] and
+    [writes] arrays are shared by all µops, so writing into any of them
+    would corrupt every other user. *)
 type t = {
   op : op;
   instr : Instr.t;  (** original AST node (tracing, trap paths, pp) *)
-  index : int;
   length : int;  (** encoded length in bytes ([Instr.length]) *)
-  fetch_addr : int;  (** code_base + byte offset *)
-  reads : int array;
-      (** [Reg.index] of [Instr.reads], in order. Read-only: the empty
-          and one-register arrays are shared between µops (and programs),
-          so writing into one would corrupt every other user. *)
-  writes : int array;  (** [Reg.index] of [Instr.writes], in order; read-only likewise *)
+  reads : int array;  (** [Reg.index] of [Instr.reads], in order *)
+  writes : int array;  (** [Reg.index] of [Instr.writes], in order *)
   off_critical : bool;  (** resolved off the issue critical path *)
   base_serializing : bool;  (** cpuid/mfence: serializes regardless of HFI *)
   is_cpuid : bool;
   latency : float;  (** cycle-engine execution latency *)
   cost_class : cost_class;
-  block_last : int;  (** index of the last instruction of this basic block *)
 }
 
-val nop : t
-(** Placeholder (index -1); used to initialize scratch records. *)
+(** Where each instruction of one program, loaded at one code base,
+    sits. Indexed by instruction index, like the µop array. Read-only. *)
+type layout = {
+  block_last : int array;
+      (** index of the last instruction of the basic block containing
+          each instruction *)
+  fetch_addr : int array;  (** code_base + byte offset of each instruction *)
+}
 
 val decode : Program.t -> code_base:int -> t array
-(** Decoded form of the whole program, memoized on the program keyed by
-    [code_base]. The memo holds the µop array and nothing else; a
-    different base re-decodes and replaces it. *)
+(** Decoded form of the whole program: position [i] holds the µop of
+    instruction [i]. Memoized on the program with its {!layout}, keyed by
+    [code_base]; a different base re-decodes and replaces the memo. *)
 
-val decode_fresh : Program.t -> code_base:int -> t array
+val layout : Program.t -> code_base:int -> layout
+(** The layout memoized with {!decode} (decoding first if needed). *)
+
+val decode_fresh : Program.t -> code_base:int -> t array * layout
 (** Always re-decode, bypassing the memo (tests). *)
 
 val memoized : Program.t -> code_base:int -> t array option
@@ -110,11 +125,11 @@ val carry : t array -> origin:int array -> Program.t -> code_base:int -> unit
 (** [carry src ~origin prog ~code_base] seeds [prog]'s memo from the
     µops [src] of the program it was rebuilt from. [origin.(j)] is the
     source index of instruction [j], or -1 when it is new. When
-    instruction [j] is physically [src.(origin.(j)).instr], its µop is
-    that one with [index], [fetch_addr] and [block_last] recomputed;
-    every other instruction is lowered exactly as {!decode_fresh} lowers
-    it. The seeded memo is therefore structurally equal to
-    [decode_fresh prog ~code_base].
+    instruction [j] equals [src.(origin.(j)).instr] (physically or
+    structurally), its µop is that very record; every other instruction
+    is lowered exactly as {!decode_fresh} lowers it, and the layout is
+    computed afresh. The seeded memo is therefore structurally equal to
+    [decode_fresh prog ~code_base], and shares its records with [src].
 
     Programs rebuilt by the optimizer's edit buffer from a program whose
     memo already holds µops at the same base arrive this way, so each
@@ -157,10 +172,7 @@ val static_successors : t array -> int -> int list
     interpreter's actual successor is always a member of this list
     unless the instruction trapped. *)
 
-val is_block_head : t array -> int -> bool
+val is_block_head : layout -> int -> bool
 (** True when instruction [i] starts a basic block (the entry, a static
     branch target, or the fallthrough of a block-ending instruction) —
     the leaders matching the [block_last] extents. *)
-
-val block_head : t array -> int -> int
-(** Leader index of the basic block containing instruction [i]. *)

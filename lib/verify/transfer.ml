@@ -65,7 +65,7 @@ let make_ctx spec prog =
     spec;
     prog;
     uops;
-    cfg = Cfg.build uops;
+    cfg = Cfg.build uops (Uop.layout prog ~code_base:spec.code_base);
     byte_size = Program.byte_size prog;
     imm = Array.map imm_of uops;
     wins = windows spec.strategy;
@@ -82,7 +82,7 @@ let viol ctx ~record property i detail =
       {
         Report.property;
         index = i;
-        addr = ctx.uops.(i).Uop.fetch_addr;
+        addr = ctx.spec.code_base + Program.byte_offset ctx.prog i;
         instr = Instr.to_string ctx.uops.(i).Uop.instr;
         detail;
       }
@@ -443,7 +443,8 @@ let simulate ctx ~record (st0 : Vstate.t) (b : Cfg.block) =
           (Printf.sprintf "indirect target 0x%x is not an instruction boundary" addr);
         []
       | Some t ->
-        if Uop.is_block_head ctx.uops t then begin
+        let layout = Uop.layout ctx.prog ~code_base:ctx.spec.code_base in
+        if Uop.is_block_head layout t then begin
           count_branch ctx ~record;
           let tb = ctx.cfg.Cfg.block_of_instr.(t) in
           Hashtbl.replace ctx.dyn_edges (b.id, tb) ();

@@ -28,8 +28,9 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let decode prog = Uop.decode prog ~code_base:Layout.code_base
+let layout_of prog = Uop.layout prog ~code_base:Layout.code_base
 let decode_fresh_of prog = Uop.decode_fresh prog ~code_base:Layout.code_base
-let cfg_of prog = Cfg.build (decode prog)
+let cfg_of prog = Cfg.build (decode prog) (layout_of prog)
 
 let count_instrs p f = Array.fold_left (fun n i -> if f i then n + 1 else n) 0 (Program.instrs p)
 
@@ -225,7 +226,7 @@ let reference_rebuild (e : Edit.t) =
 let random_script rng prog =
   let instrs = Program.instrs prog in
   let n = Array.length instrs in
-  let uops = decode_fresh_of prog in
+  let _, layout = decode_fresh_of prog in
   let is_target = Array.make (n + 1) false in
   Array.iter
     (function
@@ -242,7 +243,7 @@ let random_script rng prog =
   in
   let edit = Edit.create prog ~code_base:Layout.code_base in
   for i = 0 to n - 1 do
-    let head = Uop.is_block_head uops i in
+    let head = Uop.is_block_head layout i in
     (match Random.State.int rng 100 with
     | r when r < 8 || (head && r < 25) -> Edit.delete edit i
     | r when r < 32 -> Edit.replace edit i [ any (); branch (); instrs.(i) ]
@@ -288,7 +289,7 @@ let test_edit_rebuild_matches_reference () =
               then Alcotest.failf "%s: byte offsets differ" id;
               (match Uop.memoized got ~code_base:Layout.code_base with
               | Some uops when memo ->
-                if uops <> decode_fresh_of got then Alcotest.failf "%s: carried µops differ from a fresh decode" id
+                if (uops, layout_of got) <> decode_fresh_of got then Alcotest.failf "%s: carried µops differ from a fresh decode" id
               | None when not memo -> ()
               | Some _ -> Alcotest.failf "%s: memo seeded from a source without one" id
               | None -> Alcotest.failf "%s: rebuilt program arrives without µops" id);
@@ -314,7 +315,7 @@ let test_liveness_branchy () =
       |]
   in
   let uops = decode prog in
-  let cfg = Cfg.build uops in
+  let cfg = Cfg.build uops (layout_of prog) in
   let live = Liveness.compute uops cfg in
   let live_in i r = Liveness.is_live live.Liveness.live_in.(i) (Reg.index r) in
   check_bool "RBX live at entry" true (live_in 0 Reg.RBX);
@@ -365,10 +366,9 @@ let oracle_liveness (uops : Uop.t array) (cfg : Cfg.t) =
 
 (* Every example program (hand-written, Sightglass, FaaS catalog) and
    the ten SPEC-like profiles under all four strategies, reference and
-   optimized lowering, plus 200 fuzz-generator modules. The one gap:
-   SPEC-like modules optimized under bounds checks, whose check elision
-   alone takes about 90 s to build; the smaller bounds-checked modules
-   cover that lowering. *)
+   optimized lowering, plus 200 fuzz-generator modules. The SPEC-like
+   modules optimized under bounds checks are the largest programs the
+   optimizer rewrites, and so the largest memos [Uop.carry] seeds. *)
 let liveness_corpus =
   lazy
   (let lowerings = List.concat_map (fun s -> [ (s, false); (s, true) ]) Strategy.all in
@@ -388,8 +388,7 @@ let liveness_corpus =
         Hfi_workloads.Faas_workloads.all
   in
   let spec =
-    List.concat_map
-      (build (List.filter (( <> ) (Strategy.Bounds_checks, true)) lowerings))
+    List.concat_map (build lowerings)
       (List.map
          (fun (p : Hfi_workloads.Spec.profile) ->
            (p.Hfi_workloads.Spec.name, Hfi_workloads.Spec.workload p))
@@ -412,7 +411,7 @@ let test_liveness_matches_round_robin () =
   List.iter
     (fun (name, prog) ->
       let uops = decode prog in
-      let cfg = Cfg.build uops in
+      let cfg = Cfg.build uops (layout_of prog) in
       check_live name (oracle_liveness uops cfg) (Liveness.compute uops cfg))
     (Lazy.force liveness_corpus)
 
@@ -425,12 +424,12 @@ let test_liveness_dead_mask_matches_rebuild () =
     (fun (name, prog) ->
       let uops = decode prog in
       let dead = Array.map (fun u -> Dce.deletable u && Random.State.int rng 3 = 0) uops in
-      let masked = Liveness.compute ~dead uops (Cfg.build uops) in
+      let masked = Liveness.compute ~dead uops (cfg_of prog) in
       let edit = Edit.create prog ~code_base:Layout.code_base in
       Array.iteri (fun i d -> if d then Edit.delete edit i) dead;
       let rebuilt = Edit.rebuild edit in
       let ruops = decode rebuilt in
-      let live = Liveness.compute ruops (Cfg.build ruops) in
+      let live = Liveness.compute ruops (cfg_of rebuilt) in
       let j = ref 0 in
       Array.iteri
         (fun i d ->
@@ -482,7 +481,7 @@ let test_carried_decode_matches_fresh () =
   let same name prog ~rebuilt =
     if rebuilt && Option.is_none (Uop.memoized prog ~code_base:Layout.code_base) then
       Alcotest.failf "%s: rebuilt program arrives without µops" name;
-    if decode prog <> decode_fresh_of prog then Alcotest.failf "%s: memoized µops differ from a fresh decode" name
+    if (decode prog, layout_of prog) <> decode_fresh_of prog then Alcotest.failf "%s: memoized µops differ from a fresh decode" name
   in
   let outputs = ref 0 in
   List.iter
@@ -531,11 +530,11 @@ let test_liveness_prepared_reuse () =
   List.iter
     (fun (name, prog) ->
       let uops = decode prog in
-      let prepared = Liveness.prepare uops (Cfg.build uops) in
+      let prepared = Liveness.prepare uops (cfg_of prog) in
       let dead = Array.make (Array.length uops) false in
       let rec rounds counts round =
         let live = Liveness.solve ~dead prepared in
-        let fresh = Liveness.compute ~dead uops (Cfg.build uops) in
+        let fresh = Liveness.compute ~dead uops (cfg_of prog) in
         if live.Liveness.live_in <> fresh.Liveness.live_in
            || live.Liveness.live_out <> fresh.Liveness.live_out
         then Alcotest.failf "%s: round %d: prepared liveness differs from a fresh solve" name round;

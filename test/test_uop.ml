@@ -50,17 +50,22 @@ let test_decode_metadata () =
       let m = Instance.machine inst in
       let prog = Instance.program inst in
       let code_base = Machine.code_base m in
-      let uops = Uop.decode_fresh prog ~code_base in
+      let uops, layout = Uop.decode_fresh prog ~code_base in
+      let block_last = layout.Uop.block_last and fetch_addr = layout.Uop.fetch_addr in
       let n = Array.length uops in
       check_int (name ^ ": count") (Program.length prog) n;
+      check_int (name ^ ": layout block_last count") n (Array.length block_last);
+      check_int (name ^ ": layout fetch_addr count") n (Array.length fetch_addr);
       let addr = ref code_base in
       Array.iteri
         (fun i (u : Uop.t) ->
           let ins = u.Uop.instr in
-          check_int (name ^ ": index") i u.Uop.index;
+          (* a µop has no index of its own: position [i] holds the µop of
+             instruction [i] *)
+          check_bool (name ^ ": index") true (ins = Program.get prog i);
           check_int (name ^ ": length") (Instr.length ins) u.Uop.length;
-          check_int (name ^ ": fetch_addr") !addr u.Uop.fetch_addr;
-          check_int (name ^ ": addr_of_index") (Machine.addr_of_index m i) u.Uop.fetch_addr;
+          check_int (name ^ ": fetch_addr") !addr fetch_addr.(i);
+          check_int (name ^ ": addr_of_index") (Machine.addr_of_index m i) fetch_addr.(i);
           addr := !addr + u.Uop.length;
           let idxs l = List.map Reg.index l in
           Alcotest.(check (list int))
@@ -68,54 +73,142 @@ let test_decode_metadata () =
           Alcotest.(check (list int))
             (name ^ ": writes") (idxs (Instr.writes ins)) (Array.to_list u.Uop.writes);
           check_bool (name ^ ": block_last in range") true
-            (u.Uop.block_last >= i && u.Uop.block_last < n);
+            (block_last.(i) >= i && block_last.(i) < n);
           (* A branch can leave the block, so it must end one. *)
-          if Instr.is_branch ins then check_int (name ^ ": branch ends block") i u.Uop.block_last;
+          if Instr.is_branch ins then check_int (name ^ ": branch ends block") i block_last.(i);
           (* Instructions inside a block share its last index. *)
-          if i < u.Uop.block_last then
-            check_int (name ^ ": shared block_last") u.Uop.block_last
-              uops.(i + 1).Uop.block_last)
+          if i < block_last.(i) then
+            check_int (name ^ ": shared block_last") block_last.(i) block_last.(i + 1))
         uops)
     (sample_instances ())
 
+(* Every Sightglass and SPEC-like program under all four strategies,
+   reference lowering: (name, program), built once for the decode
+   tests below. *)
+let program_corpus =
+  lazy
+    (let spec =
+       List.map
+         (fun (p : Hfi_workloads.Spec.profile) ->
+           (p.Hfi_workloads.Spec.name, Hfi_workloads.Spec.workload p))
+         Hfi_workloads.Spec.profiles
+     in
+     List.concat_map
+       (fun (name, w) ->
+         List.map
+           (fun s ->
+             ( Printf.sprintf "%s/%s" name (Strategy.to_string s),
+               Instance.build_program ~strategy:s ~optimize:false w ))
+           Strategy.all)
+       (Sightglass.all @ spec))
+
+let code_base = Hfi_wasm.Layout.code_base
+
 (* Decode builds the register arrays without going through lists and
-   shares the empty and one-register ones between µops. Every Sightglass
-   and SPEC-like program under all four strategies must still decode to
-   exactly [Instr.reads]/[Instr.writes]; the first program is checked
-   again after all the others, so a decode that wrote into a shared
-   array would show up there. *)
+   shares the empty and one-register ones between µops. Every program
+   of the corpus must still decode to exactly [Instr.reads]/
+   [Instr.writes]; the first program is checked again after all the
+   others, so a decode that wrote into a shared array would show up
+   there. *)
 let test_decode_register_arrays () =
   let expect regs = Array.of_list (List.map Reg.index regs) in
   let check name (uops : Uop.t array) =
-    Array.iter
-      (fun (u : Uop.t) ->
+    Array.iteri
+      (fun i (u : Uop.t) ->
         if u.Uop.reads <> expect (Instr.reads u.Uop.instr) then
-          Alcotest.failf "%s: instr %d: reads differ from Instr.reads" name u.Uop.index;
+          Alcotest.failf "%s: instr %d: reads differ from Instr.reads" name i;
         if u.Uop.writes <> expect (Instr.writes u.Uop.instr) then
-          Alcotest.failf "%s: instr %d: writes differ from Instr.writes" name u.Uop.index)
+          Alcotest.failf "%s: instr %d: writes differ from Instr.writes" name i)
       uops
   in
-  let spec =
-    List.map
-      (fun (p : Hfi_workloads.Spec.profile) ->
-        (p.Hfi_workloads.Spec.name, Hfi_workloads.Spec.workload p))
-      Hfi_workloads.Spec.profiles
-  in
-  let cells =
-    List.concat_map
-      (fun (name, w) -> List.map (fun s -> (name, s, w)) Strategy.all)
-      (Sightglass.all @ spec)
-  in
-  let decode_cell (name, s, w) =
-    let name = Printf.sprintf "%s/%s" name (Strategy.to_string s) in
-    let prog = Instance.build_program ~strategy:s ~optimize:false w in
-    (name, Uop.decode_fresh prog ~code_base:Hfi_wasm.Layout.code_base)
-  in
+  let cells = Lazy.force program_corpus in
+  let decode_cell (name, prog) = (name, fst (Uop.decode_fresh prog ~code_base)) in
   let first_name, first = decode_cell (List.hd cells) in
   check first_name first;
   List.iter (fun c -> let name, uops = decode_cell c in check name uops) (List.tl cells);
   check (first_name ^ " (again)") first;
-  check_int "cells" (4 * (List.length Sightglass.all + List.length spec)) (List.length cells)
+  check_int "cells"
+    (4 * (List.length Sightglass.all + List.length Hfi_workloads.Spec.profiles))
+    (List.length cells)
+
+(* One µop per distinct instruction: structurally equal instructions,
+   wherever they sit, decode to the physically same record, and each
+   record is its own instruction's, so unequal instructions never share.
+   Every program of the corpus; the SPEC-like ones must actually share. *)
+let test_decode_shares_equal_instrs () =
+  let shared = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      let uops, _ = Uop.decode_fresh prog ~code_base in
+      let first = Hashtbl.create 1024 in
+      Array.iteri
+        (fun i (u : Uop.t) ->
+          let ins = Program.get prog i in
+          if u.Uop.instr <> ins then Alcotest.failf "%s: #%d holds another instruction's µop" name i;
+          match Hashtbl.find_opt first ins with
+          | Some (j, v) ->
+            if v != u then Alcotest.failf "%s: #%d and #%d are equal but decode apart" name j i
+          | None -> Hashtbl.add first ins (i, u))
+        uops;
+      if Hashtbl.length first < Array.length uops then incr shared)
+    (Lazy.force program_corpus);
+  check_bool "programs whose decode shares records" true
+    (!shared >= 4 * List.length Hfi_workloads.Spec.profiles)
+
+(* [carry] over a rebuilt program: every third instruction dropped, a
+   structurally equal copy (not physically the same) at every fifth, a
+   new instruction before every eleventh. The carried memo is
+   structurally a fresh decode, every kept instruction keeps its source
+   µop physically (copies included), and new instructions get their
+   own. *)
+let test_carry_shares_source () =
+  List.iter
+    (fun (name, prog) ->
+      let src = Uop.decode prog ~code_base in
+      let out = ref [] in
+      Array.iteri
+        (fun i ins ->
+          if i mod 11 = 4 then out := (Instr.Mov (Reg.RAX, Instr.Imm i), -1) :: !out;
+          if i mod 3 <> 2 then begin
+            let ins =
+              if i mod 5 = 0 then (Marshal.from_string (Marshal.to_string ins []) 0 : Instr.t)
+              else ins
+            in
+            out := (ins, i) :: !out
+          end)
+        (Program.instrs prog);
+      let instrs, origin = List.split (List.rev !out) in
+      let rebuilt = Program.of_instrs (Array.of_list instrs) in
+      let origin = Array.of_list origin in
+      Uop.carry src ~origin rebuilt ~code_base;
+      match Uop.memoized rebuilt ~code_base with
+      | None -> Alcotest.failf "%s: carry left no memo" name
+      | Some uops ->
+        if (uops, Uop.layout rebuilt ~code_base) <> Uop.decode_fresh rebuilt ~code_base then
+          Alcotest.failf "%s: carried decode differs from a fresh one" name;
+        Array.iteri
+          (fun j o ->
+            if o >= 0 && uops.(j) != src.(o) then
+              Alcotest.failf "%s: kept #%d (source #%d) does not share its µop" name j o;
+            if o < 0 && uops.(j).Uop.instr != Program.get rebuilt j then
+              Alcotest.failf "%s: new #%d not lowered from itself" name j)
+          origin)
+    (Lazy.force program_corpus)
+
+(* A compactness pin: 445.gobmk under HFI, the largest decode, takes at
+   most 8 words per instruction beyond its [Program.instrs], µop
+   records, µop array and layout included (one word per position for
+   the array and one each for the two layout arrays, the rest shared
+   records). *)
+let test_decode_compact () =
+  let prog = List.assoc "445.gobmk/hfi" (Lazy.force program_corpus) in
+  let instrs = Program.instrs prog in
+  let uops, layout = Uop.decode_fresh prog ~code_base in
+  let words =
+    Obj.reachable_words (Obj.repr (instrs, uops, layout)) - Obj.reachable_words (Obj.repr instrs)
+  in
+  let per_instr = float_of_int words /. float_of_int (Array.length instrs) in
+  check_bool (Printf.sprintf "%.2f words per instruction <= 8" per_instr) true (per_instr <= 8.0)
 
 let test_decode_memoized () =
   let inst = Instance.instantiate ~strategy:Strategy.Hfi (Sightglass.find "gimli") in
@@ -123,10 +216,12 @@ let test_decode_memoized () =
   let code_base = Machine.code_base (Instance.machine inst) in
   let a = Uop.decode prog ~code_base in
   let b = Uop.decode prog ~code_base in
-  check_bool "same physical array" true (a == b)
+  check_bool "same physical array" true (a == b);
+  check_bool "same physical layout" true (Uop.layout prog ~code_base == Uop.layout prog ~code_base)
 
 (* The read-only control-flow view (flow_of/static_successors/
-   is_block_head) must agree with the reference AST interpreter: every
+   the layout's block heads) must agree with the reference AST
+   interpreter: every
    transition between committed instructions is one the static view
    predicts — a static successor where the flow is static, a block head
    where it is indirect. Runs on every example program under every
@@ -137,6 +232,8 @@ let test_static_successors_agree () =
       let m = Instance.machine inst in
       let prog = Instance.program inst in
       let uops = Uop.decode prog ~code_base:(Machine.code_base m) in
+      let layout = Uop.layout prog ~code_base:(Machine.code_base m) in
+      let rec head_of j = if Uop.is_block_head layout j then j else head_of (j - 1) in
       (* previous committed instruction, or -1 at the start and after a
          delivered signal: that transition is the kernel's, not the
          program's *)
@@ -144,25 +241,25 @@ let test_static_successors_agree () =
       (* one event per executed instruction: fail on a mismatch only, so
          the log stays small *)
       let check what ok = if not ok then Alcotest.failf "%s" (what ()) in
-      let observe (u : Uop.t) (ev : Machine.event) =
-        let j = u.Uop.index in
+      let observe (_ : Uop.t) (ev : Machine.event) =
+        let j = ev.Machine.index in
         (if !prev >= 0 then
            let i = !prev in
            match Uop.flow_of uops.(i) with
            | Uop.Indirect_jump | Uop.Indirect_call | Uop.Return ->
              check
                (fun () -> Printf.sprintf "%s: #%d indirect/ret lands on a block head" name i)
-               (Uop.is_block_head uops j)
+               (Uop.is_block_head layout j)
            | Uop.Stop -> Alcotest.failf "%s: executed past halt at #%d" name i
            | _ ->
              check
                (fun () -> Printf.sprintf "%s: #%d -> #%d statically predicted" name i j)
                (List.mem j (Uop.static_successors uops i)));
         prev := if ev.Machine.signalled then -1 else j;
-        let h = Uop.block_head uops j in
+        let h = head_of j in
         check
           (fun () -> Printf.sprintf "%s: #%d head #%d is a head at or before it" name j h)
-          (h <= j && Uop.is_block_head uops h && uops.(h).Uop.block_last >= j)
+          (h <= j && Uop.is_block_head layout h && layout.Uop.block_last.(h) >= j)
       in
       match Machine.run ~fuel:30_000_000 m observe with
       | Machine.Running -> Alcotest.failf "%s: out of fuel" name
@@ -279,6 +376,7 @@ let test_fuzz_differential () =
    step overwrites); the static µop fields follow from [index]. *)
 type event_copy = {
   index : int;
+  fetch_addr : int;
   mem : Machine.access option;
   branch : Machine.branch_kind;
   taken : bool;
@@ -289,9 +387,10 @@ type event_copy = {
   signal : Hfi_core.Msr.t option;
 }
 
-let copy_event m (u : Uop.t) (ev : Machine.event) =
+let copy_event m (_ : Uop.t) (ev : Machine.event) =
   {
-    index = u.Uop.index;
+    index = ev.Machine.index;
+    fetch_addr = ev.Machine.fetch_addr;
     mem = Machine.access ev;
     branch = ev.Machine.branch;
     taken = ev.Machine.taken;
@@ -305,6 +404,7 @@ let copy_event m (u : Uop.t) (ev : Machine.event) =
 (* Two committed events agree; branch fields count only on a branch. *)
 let same_event a b =
   a.index = b.index
+  && a.fetch_addr = b.fetch_addr
   && a.mem = b.mem
   && a.branch = b.branch
   && (a.branch = Machine.No_branch
@@ -390,6 +490,12 @@ let suite =
     Alcotest.test_case "decode metadata matches Instr" `Quick test_decode_metadata;
     Alcotest.test_case "decode register arrays match Instr (Sightglass, SPEC-like)" `Quick
       test_decode_register_arrays;
+    Alcotest.test_case "decode shares one µop per distinct instruction" `Quick
+      test_decode_shares_equal_instrs;
+    Alcotest.test_case "carry == fresh decode, sharing the source µops" `Quick
+      test_carry_shares_source;
+    Alcotest.test_case "decode of 445.gobmk: at most 8 words per instruction" `Quick
+      test_decode_compact;
     Alcotest.test_case "decode is memoized per program" `Quick test_decode_memoized;
     Alcotest.test_case "static successors agree with execution" `Quick
       test_static_successors_agree;

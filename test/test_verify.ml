@@ -122,7 +122,8 @@ let spec = { Checks.strategy = Strategy.Guard_pages; code_base = Layout.code_bas
 
 let build instrs =
   let prog = Program.of_instrs instrs in
-  (prog, Cfg.build (Uop.decode_fresh prog ~code_base:Layout.code_base))
+  let uops, layout = Uop.decode_fresh prog ~code_base:Layout.code_base in
+  (prog, Cfg.build uops layout)
 
 let verdict_of instrs =
   let prog = Program.of_instrs instrs in
