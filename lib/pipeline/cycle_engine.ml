@@ -83,8 +83,7 @@ let create ?(config = skylake) m =
     {
       Machine.spec_fetch = (fun addr -> ignore (Cache.access icache addr));
       Machine.spec_mem =
-        (fun ~addr ~write ->
-          ignore write;
+        (fun addr ->
           ignore (Tlb.access dtlb addr);
           ignore (Cache.access dcache addr));
     }

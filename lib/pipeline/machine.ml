@@ -27,7 +27,7 @@ let access ev =
 type status = Running | Halted | Faulted of Msr.t
 
 type t = {
-  regs : int array;
+  regs : int array;  (* the [Reg.count] GPRs, then the last compare's two operands *)
   mutable pc : int;
   prog : Program.t;
   code_base : int;
@@ -39,10 +39,6 @@ type t = {
   hfi : Hfi.t;
   signal_handler : int option;
   mutable status_ : status;
-  (* last Cmp operands, split into two int fields: a tuple here would
-     cost an allocation plus a write barrier on every compare *)
-  mutable cmp_a : int;
-  mutable cmp_b : int;
   mutable instr_count : int;
   mutable last_signal : Msr.t option;
   mutable last_fault : Hfi_util.Fault.t option;
@@ -51,9 +47,16 @@ type t = {
   mutable resume : int option;
       (* instruction to resume at after hfi_reenter (set when a syscall
          is redirected to the exit handler) *)
-  ev : event;  (* the one event slot every step overwrites *)
-  shadow : int array;  (* [speculate]'s register copy, reused per call *)
+  ev : event;  (* the one event slot every committed step overwrites *)
+  spec_ev : event;  (* the slot transient steps write instead *)
+  shadow : int array;  (* [speculate]'s copy of [regs], reused per call *)
+  mutable spec_checks : bool;  (* the wrong path's view of the HFI enable bit *)
 }
+
+(* The compare operands live in [regs] past the GPRs, so [speculate]'s
+   shadow copy is one blit and [Ocmp]/[Ojcc] have one form. *)
+let cmp_a_i = Reg.count
+let cmp_b_i = Reg.count + 1
 
 (* Dispatch selection. One fast path and one reference:
 
@@ -67,10 +70,28 @@ let decode_dispatch =
 
 let dispatch_tier () = if !decode_dispatch then "uop" else "ast"
 
+let new_event () =
+  {
+    index = 0;
+    fetch_addr = 0;
+    has_mem = false;
+    mem_addr = 0;
+    mem_bytes = 0;
+    mem_write = false;
+    mem_hmov = false;
+    branch = No_branch;
+    taken = false;
+    target = 0;
+    fallthrough = 0;
+    serializing = false;
+    kernel_cycles = [| 0.0 |];
+    signalled = false;
+  }
+
 let create ?signal_handler ~prog ~code_base ~mem ~kernel ~hfi ~entry () =
   let layout = Uop.layout prog ~code_base in
   {
-    regs = Array.make Reg.count 0;
+    regs = Array.make (Reg.count + 2) 0;
     pc = entry;
     prog;
     code_base;
@@ -82,40 +103,24 @@ let create ?signal_handler ~prog ~code_base ~mem ~kernel ~hfi ~entry () =
     hfi;
     signal_handler;
     status_ = Running;
-    cmp_a = 0;
-    cmp_b = 0;
     instr_count = 0;
     last_signal = None;
     last_fault = None;
     now = (fun () -> 0);
     on_flush = ignore;
     resume = None;
-    ev =
-      {
-        index = 0;
-        fetch_addr = 0;
-        has_mem = false;
-        mem_addr = 0;
-        mem_bytes = 0;
-        mem_write = false;
-        mem_hmov = false;
-        branch = No_branch;
-        taken = false;
-        target = 0;
-        fallthrough = 0;
-        serializing = false;
-        kernel_cycles = [| 0.0 |];
-        signalled = false;
-      };
-    shadow = Array.make Reg.count 0;
+    ev = new_event ();
+    spec_ev = new_event ();
+    shadow = Array.make (Reg.count + 2) 0;
+    spec_checks = false;
   }
 
 let set_now t f = t.now <- f
 let set_on_flush t f = t.on_flush <- f
 let regs t = t.regs
-(* [Reg.index] is total into [0, Reg.count) and [regs] has exactly
-   [Reg.count] slots, so the bounds checks are provably dead — and these
-   two run several times per simulated instruction. *)
+(* [Reg.index] is total into [0, Reg.count) and [regs] has more slots
+   than that, so the bounds checks are provably dead — and these two run
+   several times per simulated instruction. *)
 let get_reg t r = Array.unsafe_get t.regs (Reg.index r)
 let set_reg t r v = Array.unsafe_set t.regs (Reg.index r) v
 let pc t = t.pc
@@ -165,14 +170,8 @@ let alu op a b =
   | Instr.Mul -> a * b
   | Instr.Div -> if b = 0 then raise (Trap_exn (Msr.Hardware_fault 0)) else a / b
 
-(* Committed data access with HFI implicit-region check then paging. *)
-let data_access t ~addr ~bytes ~write ~value =
-  let acc = if write then `Write else `Read in
-  (match Hfi.check_data_access t.hfi ~addr ~bytes acc with
-  | Ok () -> ()
-  | Error v ->
-    ignore (Hfi.record_violation t.hfi v);
-    raise (Trap_exn (Msr.Bounds_violation v)));
+(* Committed load or store through the page table; a page fault traps. *)
+let paged_access t ~addr ~bytes ~write ~value =
   try
     if write then begin
       Addr_space.store t.mem_ ~addr ~bytes value;
@@ -183,28 +182,27 @@ let data_access t ~addr ~bytes ~write ~value =
     Hfi.on_hardware_fault t.hfi ~addr:f.addr;
     raise (Trap_exn (Msr.Hardware_fault f.addr))
 
-let hmov_resolve t ~region (m : Instr.mem) ~bytes ~write =
-  let index_value = match m.index with Some r -> get_reg t r | None -> 0 in
-  let ea = Hfi.check_hmov_ea t.hfi ~region ~index_value ~scale:m.scale ~disp:m.disp ~bytes ~write in
+(* Committed data access: the HFI implicit-region check, then paging. *)
+let data_access t ~addr ~bytes ~write ~value =
+  (match Hfi.check_data_access t.hfi ~addr ~bytes (if write then `Write else `Read) with
+  | Ok () -> ()
+  | Error v ->
+    ignore (Hfi.record_violation t.hfi v);
+    raise (Trap_exn (Msr.Bounds_violation v)));
+  paged_access t ~addr ~bytes ~write ~value
+
+(* Committed hmov address: the allocation-free check, and on failure the
+   full one, which builds the violation the trap reports. *)
+let hmov_commit_addr t ~region ~index_value ~scale ~disp ~bytes ~write =
+  let ea = Hfi.check_hmov_ea t.hfi ~region ~index_value ~scale ~disp ~bytes ~write in
   if ea >= 0 then ea
   else begin
-    match Hfi.check_hmov t.hfi ~region ~index_value ~scale:m.scale ~disp:m.disp ~bytes ~write with
+    match Hfi.check_hmov t.hfi ~region ~index_value ~scale ~disp ~bytes ~write with
     | Ok ea -> ea
     | Error v ->
       ignore (Hfi.record_violation t.hfi v);
       raise (Trap_exn (Msr.Bounds_violation v))
   end
-
-let hmov_paged_access t ~addr ~bytes ~write ~value =
-  try
-    if write then begin
-      Addr_space.store t.mem_ ~addr ~bytes value;
-      0
-    end
-    else Addr_space.load t.mem_ ~addr ~bytes
-  with Addr_space.Fault f ->
-    Hfi.on_hardware_fault t.hfi ~addr:f.addr;
-    raise (Trap_exn (Msr.Hardware_fault f.addr))
 
 let out_of_range_fault t =
   let reason = Msr.Hardware_fault (addr_of_index t 0) in
@@ -320,6 +318,10 @@ let deliver t ~pc_addr ~next reason =
    semantic baseline the µop path is tested against; only [run_ast]
    (selected by HFI_DECODE_CACHE=0) calls it. *)
 
+let hmov_resolve t ~region (m : Instr.mem) ~bytes ~write =
+  let index_value = match m.index with Some r -> get_reg t r | None -> 0 in
+  hmov_commit_addr t ~region ~index_value ~scale:m.scale ~disp:m.disp ~bytes ~write
+
 let step t (observe : Uop.t -> event -> unit) =
   match t.status_ with
   | Halted | Faulted _ -> t.status_
@@ -355,30 +357,29 @@ let step t (observe : Uop.t -> event -> unit) =
            let bytes = Instr.width_bytes w in
            let addr = hmov_resolve t ~region:n m ~bytes ~write:false in
            note_mem ev ~addr ~bytes ~write:false ~via_hmov:true;
-           set_reg t d (hmov_paged_access t ~addr ~bytes ~write:false ~value:0)
+           set_reg t d (paged_access t ~addr ~bytes ~write:false ~value:0)
          | Instr.Hstore (n, w, m, s) ->
            let bytes = Instr.width_bytes w in
            let addr = hmov_resolve t ~region:n m ~bytes ~write:true in
            note_mem ev ~addr ~bytes ~write:true ~via_hmov:true;
            ignore
-             (hmov_paged_access t ~addr ~bytes ~write:true
-                ~value:(mask_width w (src_value t s)))
+             (paged_access t ~addr ~bytes ~write:true ~value:(mask_width w (src_value t s)))
          | Instr.Lea (d, m) -> set_reg t d (effective_address t m)
          | Instr.Alu (op, d, s) -> set_reg t d (alu op (get_reg t d) (src_value t s))
          | Instr.Cmp (d, s) ->
-           t.cmp_b <- src_value t s;
-           t.cmp_a <- get_reg t d
+           t.regs.(cmp_b_i) <- src_value t s;
+           t.regs.(cmp_a_i) <- get_reg t d
          | Instr.Cmp_mem (d, m) ->
            let addr = effective_address t m in
            note_mem ev ~addr ~bytes:8 ~write:false ~via_hmov:false;
            let b = data_access t ~addr ~bytes:8 ~write:false ~value:0 in
-           t.cmp_b <- b;
-           t.cmp_a <- get_reg t d
+           t.regs.(cmp_b_i) <- b;
+           t.regs.(cmp_a_i) <- get_reg t d
          | Instr.Jmp tgt ->
            next := tgt;
            note_branch ev Uncond ~taken:true ~target:tgt ~fallthrough
          | Instr.Jcc (c, tgt) ->
-           let taken = Instr.eval_cond c t.cmp_a t.cmp_b in
+           let taken = Instr.eval_cond c t.regs.(cmp_a_i) t.regs.(cmp_b_i) in
            if taken then next := tgt;
            note_branch ev Cond ~taken ~target:!next ~fallthrough
          | Instr.Jmp_ind r -> begin
@@ -505,10 +506,27 @@ let step t (observe : Uop.t -> event -> unit) =
     end
 
 (* ------------------------------------------------------------------ *)
-(* µop interpreter: same semantics as [step], dispatching on the
-   pre-decoded form — operands are already resolved to register indices
-   and immediates, so the hot path does no option matches, no
-   [Reg.index] calls, and no width decoding. *)
+(* µop semantics, written once for commit and for the wrong path, over
+   the pre-decoded form (register indices and immediates: no option
+   matches, [Reg.index] calls or width decoding on the hot path).
+   [exec t fx ~spec u ~index] runs the µop [u] at [index] and returns the
+   next index.
+   - Commit ([~spec:false]) runs over the architectural registers,
+     fills [t.ev], and raises [Trap_exn] for its caller to deliver.
+   - The wrong path ([~spec:true]) runs over the shadow registers and
+     fills [t.spec_ev]. Stores are checked but stay in the store buffer;
+     reads report to [fx.spec_mem], then peek committed memory. Wherever
+     commit would fail the HFI check, trap, serialize or leave the
+     sandbox, the window stops ([Stop], or [Trap_exn] from shared code).
+   [exec] and its mode helpers are [@inline] and every caller passes a
+   literal [~spec], so ocamlopt compiles one copy per mode with the
+   [if spec] tests folded away. *)
+
+exception Stop
+
+type spec_effects = { spec_fetch : int -> unit; spec_mem : int -> unit }
+
+let no_effects = { spec_fetch = ignore; spec_mem = ignore }
 
 let rsp_i = Reg.index Reg.RSP
 let rax_i = Reg.index Reg.RAX
@@ -521,196 +539,277 @@ let rsi_i = Reg.index Reg.RSI
 (* Decoded register slots come from [Reg.index], so unsafe access is as
    provably in-bounds as in [get_reg]/[set_reg]; -1 (absent operand) is
    always guarded before use. *)
-let[@inline] rget t i = Array.unsafe_get t.regs i
-let[@inline] rset t i v = Array.unsafe_set t.regs i v
-let[@inline] srcv t sreg simm = if sreg >= 0 then rget t sreg else simm
+let[@inline] rget (regs : int array) i = Array.unsafe_get regs i
+let[@inline] rset (regs : int array) i v = Array.unsafe_set regs i v
+let[@inline] srcv regs sreg simm = if sreg >= 0 then rget regs sreg else simm
 
-let[@inline] ea_parts t ~mbase ~midx ~mscale ~mdisp =
-  (if mbase >= 0 then rget t mbase else 0)
-  + ((if midx >= 0 then rget t midx else 0) * mscale)
+let[@inline] ea_parts regs ~mbase ~midx ~mscale ~mdisp =
+  (if mbase >= 0 then rget regs mbase else 0)
+  + ((if midx >= 0 then rget regs midx else 0) * mscale)
   + mdisp
 
-let hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write =
-  let index_value = if midx >= 0 then rget t midx else 0 in
-  let ea =
-    Hfi.check_hmov_ea t.hfi ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes ~write
-  in
-  if ea >= 0 then ea
-  else begin
-    match Hfi.check_hmov t.hfi ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes ~write with
-    | Ok ea -> ea
-    | Error v ->
-      ignore (Hfi.record_violation t.hfi v);
-      raise (Trap_exn (Msr.Bounds_violation v))
-  end
+let data_ok t ~addr ~bytes acc =
+  match Hfi.check_data_access t.hfi ~addr ~bytes acc with Ok () -> true | Error _ -> false
 
-(* One fused step over the µop [u] at [index] (the caller validated the
-   pc). Mirrors [step] case-for-case and fills the same event slot. *)
+(* A data read. [implicit] reads take the implicit-region check; hmov
+   reads were checked by [hmov_addr]. *)
+let[@inline] read t fx ~spec ~implicit ~addr ~bytes =
+  if spec then begin
+    if (implicit && t.spec_checks && not (data_ok t ~addr ~bytes `Read))
+       || not (Addr_space.is_mapped t.mem_ addr)
+    then raise_notrace Stop;
+    fx.spec_mem addr;
+    Addr_space.peek t.mem_ ~addr ~bytes
+  end
+  else if implicit then data_access t ~addr ~bytes ~write:false ~value:0
+  else paged_access t ~addr ~bytes ~write:false ~value:0
+
+(* A data write. The wrong path only checks it: the store stays in the
+   store buffer, with no cache effect. *)
+let[@inline] write t ~spec ~implicit ~addr ~bytes value =
+  if spec then begin
+    if implicit && t.spec_checks && not (data_ok t ~addr ~bytes `Write) then raise_notrace Stop
+  end
+  else if implicit then ignore (data_access t ~addr ~bytes ~write:true ~value)
+  else ignore (paged_access t ~addr ~bytes ~write:true ~value)
+
+let[@inline] hmov_addr t regs ~spec ~region ~midx ~mscale ~mdisp ~bytes ~write =
+  let index_value = if midx >= 0 then rget regs midx else 0 in
+  if spec then begin
+    (* the allocation-free check: -1 exactly when [check_hmov] fails *)
+    let ea = Hfi.check_hmov_ea t.hfi ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes ~write in
+    if ea < 0 then raise_notrace Stop;
+    ea
+  end
+  else hmov_commit_addr t ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes ~write
+
+(* The instruction at code address [a], for indirect transfers. *)
+let[@inline] code_index t ~spec a =
+  match index_of_addr t a with
+  | Some i -> i
+  | None -> if spec then raise_notrace Stop else raise (Trap_exn (Msr.Hardware_fault a))
+
+(* [push] and [call]: an 8-byte store below RSP of [sreg] (or [simm]),
+   read after RSP moves. *)
+let[@inline] push t ev regs ~spec ~sreg ~simm =
+  let rsp = rget regs rsp_i - 8 in
+  rset regs rsp_i rsp;
+  note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
+  write t ~spec ~implicit:true ~addr:rsp ~bytes:8 (srcv regs sreg simm)
+
+(* A call pushes the address of [fallthrough]. Only commit computes it:
+   on the wrong path a call in the last slot has none. *)
+let[@inline] push_return t ev regs ~spec ~fallthrough =
+  push t ev regs ~spec ~sreg:(-1) ~simm:(if spec then 0 else addr_of_index t fallthrough)
+
+(* µops the wrong path never executes: they trap, serialize or leave
+   the sandbox, so the window stops at them. *)
+let[@inline] commit_only ~spec = if spec then raise_notrace Stop
+
+let[@inline] exec t fx ~spec (u : Uop.t) ~index =
+  let regs = if spec then t.shadow else t.regs in
+  let ev = if spec then t.spec_ev else t.ev in
+  let fallthrough = index + 1 in
+  match u.Uop.op with
+  | Uop.Omov { d; sreg; simm } ->
+    rset regs d (srcv regs sreg simm);
+    fallthrough
+  | Uop.Oload { bytes; d; mbase; midx; mscale; mdisp } ->
+    let addr = ea_parts regs ~mbase ~midx ~mscale ~mdisp in
+    note_mem ev ~addr ~bytes ~write:false ~via_hmov:false;
+    rset regs d (read t fx ~spec ~implicit:true ~addr ~bytes);
+    fallthrough
+  | Uop.Ostore { bytes; mask; mbase; midx; mscale; mdisp; sreg; simm } ->
+    let addr = ea_parts regs ~mbase ~midx ~mscale ~mdisp in
+    note_mem ev ~addr ~bytes ~write:true ~via_hmov:false;
+    write t ~spec ~implicit:true ~addr ~bytes (srcv regs sreg simm land mask);
+    fallthrough
+  | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } ->
+    let addr = hmov_addr t regs ~spec ~region ~midx ~mscale ~mdisp ~bytes ~write:false in
+    note_mem ev ~addr ~bytes ~write:false ~via_hmov:true;
+    rset regs d (read t fx ~spec ~implicit:false ~addr ~bytes);
+    fallthrough
+  | Uop.Ohstore { region; bytes; mask; midx; mscale; mdisp; sreg; simm } ->
+    let addr = hmov_addr t regs ~spec ~region ~midx ~mscale ~mdisp ~bytes ~write:true in
+    note_mem ev ~addr ~bytes ~write:true ~via_hmov:true;
+    write t ~spec ~implicit:false ~addr ~bytes (srcv regs sreg simm land mask);
+    fallthrough
+  | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
+    rset regs d (ea_parts regs ~mbase ~midx ~mscale ~mdisp);
+    fallthrough
+  | Uop.Oalu { op; d; sreg; simm } ->
+    rset regs d (alu op (rget regs d) (srcv regs sreg simm));
+    fallthrough
+  | Uop.Ocmp { d; sreg; simm } ->
+    rset regs cmp_b_i (srcv regs sreg simm);
+    rset regs cmp_a_i (rget regs d);
+    fallthrough
+  | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
+    let addr = ea_parts regs ~mbase ~midx ~mscale ~mdisp in
+    note_mem ev ~addr ~bytes:8 ~write:false ~via_hmov:false;
+    rset regs cmp_b_i (read t fx ~spec ~implicit:true ~addr ~bytes:8);
+    rset regs cmp_a_i (rget regs d);
+    fallthrough
+  | Uop.Ojmp tgt ->
+    note_branch ev Uncond ~taken:true ~target:tgt ~fallthrough;
+    tgt
+  | Uop.Ojcc { cond; target } ->
+    let taken = Instr.eval_cond cond (rget regs cmp_a_i) (rget regs cmp_b_i) in
+    let next = if taken then target else fallthrough in
+    note_branch ev Cond ~taken ~target:next ~fallthrough;
+    next
+  | Uop.Ojmp_ind r ->
+    let i = code_index t ~spec (rget regs r) in
+    note_branch ev Indirect ~taken:true ~target:i ~fallthrough;
+    i
+  | Uop.Ocall tgt ->
+    push_return t ev regs ~spec ~fallthrough;
+    note_branch ev Call_k ~taken:true ~target:tgt ~fallthrough;
+    tgt
+  | Uop.Ocall_ind r ->
+    let i = code_index t ~spec (rget regs r) in
+    push_return t ev regs ~spec ~fallthrough;
+    note_branch ev Call_k ~taken:true ~target:i ~fallthrough;
+    i
+  | Uop.Oret ->
+    let rsp = rget regs rsp_i in
+    note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
+    let ra = read t fx ~spec ~implicit:true ~addr:rsp ~bytes:8 in
+    rset regs rsp_i (rsp + 8);
+    let i = code_index t ~spec ra in
+    note_branch ev Ret_k ~taken:true ~target:i ~fallthrough;
+    i
+  | Uop.Opush r ->
+    push t ev regs ~spec ~sreg:r ~simm:0;
+    fallthrough
+  | Uop.Opop r ->
+    let rsp = rget regs rsp_i in
+    note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
+    rset regs r (read t fx ~spec ~implicit:true ~addr:rsp ~bytes:8);
+    rset regs rsp_i (rsp + 8);
+    fallthrough
+  | Uop.Osyscall -> begin
+    commit_only ~spec;
+    let number = rget regs rax_i in
+    match Hfi.on_syscall t.hfi ~number with
+    | `Allow ->
+      let result =
+        kernel_syscall t ~number ~arg0:(rget regs rdi_i) ~arg1:(rget regs rsi_i)
+          ~arg2:(rget regs rdx_i)
+      in
+      rset regs rax_i result;
+      fallthrough
+    | `Redirect h ->
+      (* §4.4: the syscall becomes a jump to the exit handler; the
+         resume point is preserved for hfi_reenter. *)
+      t.resume <- Some fallthrough;
+      code_index t ~spec h
+    | `Fault -> raise (Trap_exn (Msr.Syscall_trap number))
+  end
+  | Uop.Ohfi_enter s ->
+    if spec then begin
+      if s.Hfi_iface.is_serialized then raise_notrace Stop;
+      t.spec_checks <- true;
+      fallthrough
+    end
+    else begin
+      let d0 = drains t in
+      let e = Hfi.exec_enter t.hfi s in
+      note_drain t d0;
+      hfi_next t e ~next:fallthrough
+    end
+  | Uop.Ohfi_exit ->
+    if spec then begin
+      (* The §3.4 risk: an unserialized transient hfi_exit turns checking
+         off for the rest of the window. Serialization (or
+         switch-on-exit) stops speculation here instead. *)
+      (match Hfi.current_spec t.hfi with
+      | Some s when s.Hfi_iface.is_serialized || s.Hfi_iface.switch_on_exit -> raise_notrace Stop
+      | _ -> t.spec_checks <- false);
+      fallthrough
+    end
+    else begin
+      let d0 = drains t in
+      let e = Hfi.exec_exit t.hfi in
+      note_drain t d0;
+      hfi_next t e ~next:fallthrough
+    end
+  | Uop.Ohfi_reenter ->
+    commit_only ~spec;
+    let d0 = drains t in
+    let e = Hfi.exec_reenter t.hfi in
+    note_drain t d0;
+    hfi_reenter_next t e ~next:fallthrough
+  | Uop.Ohfi_set_region { slot; region } ->
+    commit_only ~spec;
+    let d0 = drains t in
+    let e = Hfi.exec_set_region t.hfi ~slot region in
+    note_drain t d0;
+    hfi_region_effect e;
+    fallthrough
+  | Uop.Ohfi_clear_region slot ->
+    commit_only ~spec;
+    let d0 = drains t in
+    let e = Hfi.exec_clear_region t.hfi ~slot in
+    note_drain t d0;
+    hfi_region_effect e;
+    fallthrough
+  | Uop.Ohfi_clear_all ->
+    commit_only ~spec;
+    let d0 = drains t in
+    let e = Hfi.exec_clear_all t.hfi in
+    note_drain t d0;
+    hfi_region_effect e;
+    fallthrough
+  | Uop.Ohfi_get_region { slot; d } ->
+    (* speculation reads no region register: the value is 0 *)
+    (if spec then rset regs d 0
+     else
+       match Hfi.exec_get_region t.hfi ~slot with
+       | Ok v -> rset regs d v
+       | Error reason -> raise (Trap_exn reason));
+    fallthrough
+  | Uop.Ocpuid ->
+    commit_only ~spec;
+    rset regs rax_i 0;
+    rset regs rbx_i 0;
+    rset regs rcx_i 0;
+    rset regs rdx_i 0;
+    fallthrough
+  | Uop.Ordtsc d ->
+    rset regs d (t.now ());
+    fallthrough
+  | Uop.Ordmsr d ->
+    rset regs d (Msr.encode (Hfi.exit_reason t.hfi));
+    fallthrough
+  | Uop.Oclflush { mbase; midx; mscale; mdisp } ->
+    if not spec then t.on_flush (ea_parts regs ~mbase ~midx ~mscale ~mdisp);
+    fallthrough
+  | Uop.Omfence ->
+    commit_only ~spec;
+    fallthrough
+  | Uop.Onop -> fallthrough
+  | Uop.Ohalt ->
+    commit_only ~spec;
+    t.status_ <- Halted;
+    fallthrough
+
+(* One committed step over the µop [u] at [index] (the caller validated
+   the pc): the decode-stage code-region check (§4.1), [exec], and trap
+   delivery. Fills the same event slot as [step]. *)
 let step_uop t (u : Uop.t) ~index (observe : Uop.t -> event -> unit) =
   let pc_addr = Array.unsafe_get t.fetch_addr index in
-  let ev = t.ev in
-  begin_event ev ~index ~fetch_addr:pc_addr ~serializing:u.Uop.base_serializing;
-  let fallthrough = index + 1 in
-  let next = ref fallthrough in
+  begin_event t.ev ~index ~fetch_addr:pc_addr ~serializing:u.Uop.base_serializing;
   t.instr_count <- t.instr_count + 1;
-  (try
-     check_ifetch t ~addr:pc_addr;
-     match u.Uop.op with
-     | Uop.Omov { d; sreg; simm } -> rset t d (srcv t sreg simm)
-     | Uop.Oload { bytes; d; mbase; midx; mscale; mdisp } ->
-       let addr = ea_parts t ~mbase ~midx ~mscale ~mdisp in
-       note_mem ev ~addr ~bytes ~write:false ~via_hmov:false;
-       rset t d (data_access t ~addr ~bytes ~write:false ~value:0)
-     | Uop.Ostore { bytes; mask; mbase; midx; mscale; mdisp; sreg; simm } ->
-       let addr = ea_parts t ~mbase ~midx ~mscale ~mdisp in
-       note_mem ev ~addr ~bytes ~write:true ~via_hmov:false;
-       ignore (data_access t ~addr ~bytes ~write:true ~value:(srcv t sreg simm land mask))
-     | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } ->
-       let addr = hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write:false in
-       note_mem ev ~addr ~bytes ~write:false ~via_hmov:true;
-       rset t d (hmov_paged_access t ~addr ~bytes ~write:false ~value:0)
-     | Uop.Ohstore { region; bytes; mask; midx; mscale; mdisp; sreg; simm } ->
-       let addr = hmov_resolve_idx t ~region ~midx ~mscale ~mdisp ~bytes ~write:true in
-       note_mem ev ~addr ~bytes ~write:true ~via_hmov:true;
-       ignore
-         (hmov_paged_access t ~addr ~bytes ~write:true ~value:(srcv t sreg simm land mask))
-     | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
-       rset t d (ea_parts t ~mbase ~midx ~mscale ~mdisp)
-     | Uop.Oalu { op; d; sreg; simm } -> rset t d (alu op (rget t d) (srcv t sreg simm))
-     | Uop.Ocmp { d; sreg; simm } ->
-       t.cmp_b <- srcv t sreg simm;
-       t.cmp_a <- rget t d
-     | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
-       let addr = ea_parts t ~mbase ~midx ~mscale ~mdisp in
-       note_mem ev ~addr ~bytes:8 ~write:false ~via_hmov:false;
-       let b = data_access t ~addr ~bytes:8 ~write:false ~value:0 in
-       t.cmp_b <- b;
-       t.cmp_a <- rget t d
-     | Uop.Ojmp tgt ->
-       next := tgt;
-       note_branch ev Uncond ~taken:true ~target:tgt ~fallthrough
-     | Uop.Ojcc { cond; target } ->
-       let taken = Instr.eval_cond cond t.cmp_a t.cmp_b in
-       if taken then next := target;
-       note_branch ev Cond ~taken ~target:!next ~fallthrough
-     | Uop.Ojmp_ind r -> begin
-       let a = rget t r in
-       match index_of_addr t a with
-       | Some i ->
-         next := i;
-         note_branch ev Indirect ~taken:true ~target:i ~fallthrough
-       | None -> raise (Trap_exn (Msr.Hardware_fault a))
-     end
-     | Uop.Ocall tgt ->
-       let rsp = rget t rsp_i - 8 in
-       rset t rsp_i rsp;
-       note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
-       ignore
-         (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(addr_of_index t fallthrough));
-       next := tgt;
-       note_branch ev Call_k ~taken:true ~target:tgt ~fallthrough
-     | Uop.Ocall_ind r -> begin
-       let a = rget t r in
-       match index_of_addr t a with
-       | Some i ->
-         let rsp = rget t rsp_i - 8 in
-         rset t rsp_i rsp;
-         note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
-         ignore
-           (data_access t ~addr:rsp ~bytes:8 ~write:true
-              ~value:(addr_of_index t fallthrough));
-         next := i;
-         note_branch ev Call_k ~taken:true ~target:i ~fallthrough
-       | None -> raise (Trap_exn (Msr.Hardware_fault a))
-     end
-     | Uop.Oret -> begin
-       let rsp = rget t rsp_i in
-       note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
-       let ra = data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0 in
-       rset t rsp_i (rsp + 8);
-       match index_of_addr t ra with
-       | Some i ->
-         next := i;
-         note_branch ev Ret_k ~taken:true ~target:i ~fallthrough
-       | None -> raise (Trap_exn (Msr.Hardware_fault ra))
-     end
-     | Uop.Opush r ->
-       let rsp = rget t rsp_i - 8 in
-       rset t rsp_i rsp;
-       note_mem ev ~addr:rsp ~bytes:8 ~write:true ~via_hmov:false;
-       ignore (data_access t ~addr:rsp ~bytes:8 ~write:true ~value:(rget t r))
-     | Uop.Opop r ->
-       let rsp = rget t rsp_i in
-       note_mem ev ~addr:rsp ~bytes:8 ~write:false ~via_hmov:false;
-       rset t r (data_access t ~addr:rsp ~bytes:8 ~write:false ~value:0);
-       rset t rsp_i (rsp + 8)
-     | Uop.Osyscall -> begin
-       let number = rget t rax_i in
-       match Hfi.on_syscall t.hfi ~number with
-       | `Allow ->
-         let result =
-           kernel_syscall t ~number ~arg0:(rget t rdi_i) ~arg1:(rget t rsi_i)
-             ~arg2:(rget t rdx_i)
-         in
-         rset t rax_i result
-       | `Redirect h -> begin
-         t.resume <- Some fallthrough;
-         match index_of_addr t h with
-         | Some i -> next := i
-         | None -> raise (Trap_exn (Msr.Hardware_fault h))
-       end
-       | `Fault -> raise (Trap_exn (Msr.Syscall_trap number))
-     end
-     | Uop.Ohfi_enter spec ->
-       let d0 = drains t in
-       let e = Hfi.exec_enter t.hfi spec in
-       note_drain t d0;
-       next := hfi_next t e ~next:!next
-     | Uop.Ohfi_exit ->
-       let d0 = drains t in
-       let e = Hfi.exec_exit t.hfi in
-       note_drain t d0;
-       next := hfi_next t e ~next:!next
-     | Uop.Ohfi_reenter ->
-       let d0 = drains t in
-       let e = Hfi.exec_reenter t.hfi in
-       note_drain t d0;
-       next := hfi_reenter_next t e ~next:!next
-     | Uop.Ohfi_set_region { slot; region } ->
-       let d0 = drains t in
-       let e = Hfi.exec_set_region t.hfi ~slot region in
-       note_drain t d0;
-       hfi_region_effect e
-     | Uop.Ohfi_clear_region slot ->
-       let d0 = drains t in
-       let e = Hfi.exec_clear_region t.hfi ~slot in
-       note_drain t d0;
-       hfi_region_effect e
-     | Uop.Ohfi_clear_all ->
-       let d0 = drains t in
-       let e = Hfi.exec_clear_all t.hfi in
-       note_drain t d0;
-       hfi_region_effect e
-     | Uop.Ohfi_get_region { slot; d } -> begin
-       match Hfi.exec_get_region t.hfi ~slot with
-       | Ok v -> rset t d v
-       | Error reason -> raise (Trap_exn reason)
-     end
-     | Uop.Ocpuid ->
-       rset t rax_i 0;
-       rset t rbx_i 0;
-       rset t rcx_i 0;
-       rset t rdx_i 0
-     | Uop.Ordtsc d -> rset t d (t.now ())
-     | Uop.Ordmsr d -> rset t d (Msr.encode (Hfi.exit_reason t.hfi))
-     | Uop.Oclflush { mbase; midx; mscale; mdisp } ->
-       t.on_flush (ea_parts t ~mbase ~midx ~mscale ~mdisp)
-     | Uop.Omfence | Uop.Onop -> ()
-     | Uop.Ohalt -> t.status_ <- Halted
-   with Trap_exn reason -> next := deliver t ~pc_addr ~next:!next reason);
-  (match t.status_ with Running -> t.pc <- !next | Halted | Faulted _ -> ());
+  let next =
+    try
+      check_ifetch t ~addr:pc_addr;
+      exec t no_effects ~spec:false u ~index
+    with Trap_exn reason -> deliver t ~pc_addr ~next:(index + 1) reason
+  in
+  (match t.status_ with Running -> t.pc <- next | Halted | Faulted _ -> ());
   if !Hfi_obs.Obs.trace_enabled then trace_commit t u;
-  observe u ev;
+  observe u t.ev;
   t.status_
 
 (* Basic-block dispatch: fetch the block extent once, then run straight-
@@ -768,169 +867,27 @@ let run_ast t ~fuel observe =
 let run ?(fuel = max_int) t observe =
   if !decode_dispatch then run_uop t ~fuel observe else run_ast t ~fuel observe
 
-type spec_effects = {
-  spec_fetch : int -> unit;
-  spec_mem : addr:int -> write:bool -> unit;
-}
+let ifetch_ok t ~addr = match Hfi.check_ifetch t.hfi ~addr with Ok () -> true | Error _ -> false
 
-(* Wrong-path (transient) execution: shadow registers, suppressed stores,
-   no architectural commits. HFI checks gate cache effects exactly as the
-   hardware would: a failed check produces no cache-visible access. A
-   transient hfi_exit in an *unserialized* sandbox disables checking for
-   the remainder of the window — the attack §3.4's serialization (and the
-   switch-on-exit extension) exists to prevent.
-
-   Runs on the µop form: mispredicts spawn up to a full ROB window of
-   wrong-path instructions, so this loop is as hot as the committed
-   path. Module-level helpers over the machine's one shadow array (not
-   closures) keep it allocation-free. *)
-
-let[@inline] sget (sregs : int array) i = Array.unsafe_get sregs i
-let[@inline] sset (sregs : int array) i v = Array.unsafe_set sregs i v
-let[@inline] ssrc sregs sreg simm = if sreg >= 0 then sget sregs sreg else simm
-
-let[@inline] sea sregs ~mbase ~midx ~mscale ~mdisp =
-  (if mbase >= 0 then sget sregs mbase else 0)
-  + ((if midx >= 0 then sget sregs midx else 0) * mscale)
-  + mdisp
-
-let ifetch_ok t ~addr =
-  match Hfi.check_ifetch t.hfi ~addr with Ok () -> true | Error _ -> false
-
-let mem_ok t addr = match Addr_space.perm_at t.mem_ addr with Some _ -> true | None -> false
-
-let spec_check_data t ~on ~addr ~bytes acc =
-  if not on then true
-  else begin
-    match Hfi.check_data_access t.hfi ~addr ~bytes acc with Ok () -> true | Error _ -> false
-  end
-
-let speculate t ~start ~fuel effects =
-  let sregs = t.shadow in
-  Array.blit t.regs 0 sregs 0 (Array.length sregs);
+(* Wrong-path (transient) execution after a misprediction: [exec] in its
+   speculative mode behind the decode-stage gate, which turns an
+   out-of-region transient instruction into a faulting NOP that never
+   executes (§4.1). The window starts from the committed registers and
+   HFI enable bit, and ends at [fuel] µops or at the first stop. *)
+let speculate t ~start ~fuel fx =
+  Array.blit t.regs 0 t.shadow 0 (Array.length t.shadow);
+  t.spec_checks <- Hfi.enabled t.hfi;
   let uops = t.uops in
-  let fetch_addr = t.fetch_addr in
   let len = Array.length uops in
-  let scmp_a = ref t.cmp_a and scmp_b = ref t.cmp_b in
-  (* Transient view of the HFI enable bit; region registers are read from
-     the architectural state (speculation does not retire updates). *)
-  let hfi_on = ref (Hfi.enabled t.hfi) in
-  let spec_of = Hfi.current_spec t.hfi in
-  let serialized_sandbox =
-    match spec_of with
-    | Some s -> s.Hfi_iface.is_serialized || s.Hfi_iface.switch_on_exit
-    | None -> false
-  in
   let executed = ref 0 in
   let pc = ref start in
-  let stop = ref false in
-  while (not !stop) && !executed < fuel && !pc >= 0 && !pc < len do
-    let u = Array.unsafe_get uops !pc in
-    let addr = Array.unsafe_get fetch_addr !pc in
-    (* Decode-stage code-region gate (§4.1): out-of-region transient
-       instructions become faulting NOPs and never execute. *)
-    if !hfi_on && not (ifetch_ok t ~addr) then stop := true
-    else begin
-      effects.spec_fetch addr;
-      incr executed;
-      let next = ref (!pc + 1) in
-      (match u.Uop.op with
-      | Uop.Omov { d; sreg; simm } -> sset sregs d (ssrc sregs sreg simm)
-      | Uop.Oload { bytes; d; mbase; midx; mscale; mdisp } ->
-        let addr = sea sregs ~mbase ~midx ~mscale ~mdisp in
-        if spec_check_data t ~on:!hfi_on ~addr ~bytes `Read && mem_ok t addr then begin
-          effects.spec_mem ~addr ~write:false;
-          sset sregs d (Addr_space.peek t.mem_ ~addr ~bytes)
-        end
-        else stop := true (* faulting transient load yields no value *)
-      | Uop.Ostore { mbase; midx; mscale; mdisp; _ } ->
-        let addr = sea sregs ~mbase ~midx ~mscale ~mdisp in
-        (* Stores sit in the store buffer; no cache update pre-commit. *)
-        if not (spec_check_data t ~on:!hfi_on ~addr ~bytes:1 `Write) then stop := true
-      | Uop.Ohload { region; bytes; d; midx; mscale; mdisp } ->
-        let index_value = if midx >= 0 then sget sregs midx else 0 in
-        (* the allocation-free check: -1 exactly when [check_hmov] fails *)
-        let addr =
-          Hfi.check_hmov_ea t.hfi ~region ~index_value ~scale:mscale ~disp:mdisp ~bytes
-            ~write:false
-        in
-        if addr >= 0 && mem_ok t addr then begin
-          effects.spec_mem ~addr ~write:false;
-          sset sregs d (Addr_space.peek t.mem_ ~addr ~bytes)
-        end
-        else stop := true
-      | Uop.Ohstore _ -> ()
-      | Uop.Olea { d; mbase; midx; mscale; mdisp } ->
-        sset sregs d (sea sregs ~mbase ~midx ~mscale ~mdisp)
-      | Uop.Oalu { op; d; sreg; simm } -> begin
-        match op with
-        | Instr.Div when ssrc sregs sreg simm = 0 -> stop := true
-        | _ -> sset sregs d (alu op (sget sregs d) (ssrc sregs sreg simm))
-      end
-      | Uop.Ocmp { d; sreg; simm } ->
-        scmp_b := ssrc sregs sreg simm;
-        scmp_a := sget sregs d
-      | Uop.Ocmp_mem { d; mbase; midx; mscale; mdisp } ->
-        let addr = sea sregs ~mbase ~midx ~mscale ~mdisp in
-        if mem_ok t addr && spec_check_data t ~on:!hfi_on ~addr ~bytes:8 `Read then begin
-          effects.spec_mem ~addr ~write:false;
-          scmp_b := Addr_space.peek t.mem_ ~addr ~bytes:8;
-          scmp_a := sget sregs d
-        end
-        else stop := true
-      | Uop.Ojmp tgt -> next := tgt
-      | Uop.Ojcc { cond; target } ->
-        if Instr.eval_cond cond !scmp_a !scmp_b then next := target
-      | Uop.Ojmp_ind r -> begin
-        match index_of_addr t (sget sregs r) with Some i -> next := i | None -> stop := true
-      end
-      | Uop.Ocall tgt ->
-        sset sregs rsp_i (sget sregs rsp_i - 8);
-        next := tgt
-      | Uop.Ocall_ind r -> begin
-        sset sregs rsp_i (sget sregs rsp_i - 8);
-        match index_of_addr t (sget sregs r) with Some i -> next := i | None -> stop := true
-      end
-      | Uop.Oret -> begin
-        let rsp = sget sregs rsp_i in
-        if mem_ok t rsp && spec_check_data t ~on:!hfi_on ~addr:rsp ~bytes:8 `Read then begin
-          effects.spec_mem ~addr:rsp ~write:false;
-          let ra = Addr_space.peek t.mem_ ~addr:rsp ~bytes:8 in
-          sset sregs rsp_i (rsp + 8);
-          match index_of_addr t ra with Some i -> next := i | None -> stop := true
-        end
-        else stop := true
-      end
-      | Uop.Opush _ -> sset sregs rsp_i (sget sregs rsp_i - 8)
-      | Uop.Opop r ->
-        let rsp = sget sregs rsp_i in
-        if mem_ok t rsp && spec_check_data t ~on:!hfi_on ~addr:rsp ~bytes:8 `Read then begin
-          effects.spec_mem ~addr:rsp ~write:false;
-          sset sregs r (Addr_space.peek t.mem_ ~addr:rsp ~bytes:8);
-          sset sregs rsp_i (rsp + 8)
-        end
-        else stop := true
-      | Uop.Osyscall ->
-        (* Syscalls do not execute speculatively. *)
-        stop := true
-      | Uop.Ohfi_enter spec ->
-        if spec.Hfi_iface.is_serialized then stop := true else hfi_on := true
-      | Uop.Ohfi_exit ->
-        (* The §3.4 risk: an unserialized transient hfi_exit disables
-           checking on the wrong path. Serialization (or switch-on-exit)
-           stops speculation here instead. *)
-        if serialized_sandbox then stop := true else hfi_on := false
-      | Uop.Ohfi_reenter -> stop := true
-      | Uop.Ohfi_set_region _ | Uop.Ohfi_clear_region _ | Uop.Ohfi_clear_all ->
-        stop := true
-      | Uop.Ohfi_get_region { d; _ } -> sset sregs d 0
-      | Uop.Ocpuid | Uop.Omfence -> stop := true
-      | Uop.Ordtsc d -> sset sregs d (t.now ())
-      | Uop.Ordmsr d -> sset sregs d (Msr.encode (Hfi.exit_reason t.hfi))
-      | Uop.Oclflush _ -> ()
-      | Uop.Onop -> ()
-      | Uop.Ohalt -> stop := true);
-      if not !stop then pc := !next
-    end
-  done;
+  (try
+     while !executed < fuel && !pc >= 0 && !pc < len do
+       let addr = Array.unsafe_get t.fetch_addr !pc in
+       if t.spec_checks && not (ifetch_ok t ~addr) then raise_notrace Stop;
+       fx.spec_fetch addr;
+       incr executed;
+       pc := exec t fx ~spec:true (Array.unsafe_get uops !pc) ~index:!pc
+     done
+   with Stop | Trap_exn _ -> ());
   !executed

@@ -105,6 +105,10 @@ val set_on_flush : t -> (int -> unit) -> unit
 (** Callback for [clflush], so the timing engine can evict its d-cache. *)
 
 val regs : t -> int array
+(** The live register file: slot [Reg.index r] holds register [r], and
+    the two slots after the [Reg.count] registers hold the operands of
+    the last compare (read by conditional jumps). *)
+
 val get_reg : t -> Reg.t -> int
 val set_reg : t -> Reg.t -> int -> unit
 val pc : t -> int
@@ -126,11 +130,6 @@ val last_fault : t -> Hfi_util.Fault.t option
 val addr_of_index : t -> int -> int
 (** Byte address of an instruction index. *)
 
-val index_of_addr : t -> int -> int option
-
-val effective_address : t -> Instr.mem -> int
-(** Evaluate a memory operand against the current register file. *)
-
 val run : ?fuel:int -> t -> (Uop.t -> event -> unit) -> status
 (** Step until [Halted], [Faulted], or [fuel] instructions, calling the
     callback with the committed µop and the machine's event slot once
@@ -143,19 +142,33 @@ val run : ?fuel:int -> t -> (Uop.t -> event -> unit) -> status
 (** {1 Wrong-path speculation support}
 
     Used by the cycle engine to model transient execution after a branch
-    misprediction. Architectural state is untouched: registers are
-    shadow-copied, stores are suppressed, loads read committed memory.
-    Cache side effects are reported through the callbacks — loads whose
-    HFI check fails report nothing, which is exactly HFI's Spectre
-    guarantee (§4.1: no cache update before the bounds check passes). *)
+    misprediction. The wrong path runs the same per-µop semantics as
+    commit, in a speculative mode:
+    - it runs over a shadow copy of {!regs} and leaves architectural
+      state, the committed {!event} slot and the HFI state untouched;
+    - stores are checked but stay in the store buffer: no memory write,
+      no cache effect;
+    - loads read committed memory, and report to [spec_mem] first;
+    - a µop stops the window wherever its commit would fail the HFI
+      check, trap, serialize or leave the sandbox. Stores are checked at
+      their true width, hmov stores by their hmov check, [push] and
+      [call] at 8 bytes.
+
+    A transient load whose check fails therefore reports nothing, which
+    is HFI's Spectre guarantee (§4.1: no cache update before the bounds
+    check passes). Out-of-region transient instructions are gated at
+    decode: they are neither fetched nor executed. A transient
+    [hfi_exit] in an unserialized sandbox turns the checks off for the
+    rest of its window (the §3.4 risk); a serialized or switch-on-exit
+    sandbox stops the window there instead. *)
 
 type spec_effects = {
   spec_fetch : int -> unit;  (** byte address of a speculatively fetched instruction *)
-  spec_mem : addr:int -> write:bool -> unit;  (** cache-visible data access *)
+  spec_mem : int -> unit;  (** address of a cache-visible transient read *)
 }
 
 val speculate : t -> start:int -> fuel:int -> spec_effects -> int
 (** Execute up to [fuel] instructions of wrong path starting at index
-    [start]; stops early at serializing instructions (per the current HFI
-    serialization flags), faults, or [Halt]. Returns the number of
-    instructions transiently executed. *)
+    [start], stopping early as described above. Returns the number of
+    instructions transiently executed, counting the one that stopped
+    the window. *)

@@ -73,8 +73,6 @@ type op =
   | Onop
   | Ohalt
 
-(* Fast-engine base-cost class — mirrors the per-instruction match in
-   [Fast_engine.account] exactly. *)
 type cost_class = Cmul | Cdiv | Calu | Cload | Cstore | Cbranch | Cother
 
 type t = {
@@ -214,8 +212,6 @@ let lower_op (i : Instr.t) : op =
   | Instr.Nop -> Onop
   | Instr.Halt -> Ohalt
 
-(* Cycle-engine execution latency — must mirror the historical match in
-   [Cycle_engine.account] constructor-for-constructor. *)
 let latency_of (i : Instr.t) =
   match i with
   | Instr.Alu (Instr.Mul, _, _) -> 3.0
@@ -226,7 +222,6 @@ let latency_of (i : Instr.t) =
   | Instr.Rdtsc _ | Instr.Rdmsr _ -> 2.0
   | _ -> 1.0
 
-(* Fast-engine base-cost class — mirrors [Fast_engine.account]. *)
 let cost_class_of (i : Instr.t) =
   match i with
   | Instr.Alu (Instr.Mul, _, _) -> Cmul

@@ -77,7 +77,7 @@ type op =
   | Onop
   | Ohalt
 
-(** Fast-engine base-cost class, mirroring its per-instruction match. *)
+(** Fast-engine base-cost class. *)
 type cost_class = Cmul | Cdiv | Calu | Cload | Cstore | Cbranch | Cother
 
 (** One distinct instruction, decoded. Read-only: a record is shared by

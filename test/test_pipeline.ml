@@ -292,7 +292,7 @@ let test_speculate_respects_hfi () =
   let effects =
     {
       Machine.spec_fetch = (fun _ -> ());
-      Machine.spec_mem = (fun ~addr ~write:_ -> touched := addr :: !touched);
+      Machine.spec_mem = (fun addr -> touched := addr :: !touched);
     }
   in
   let n = Machine.speculate m ~start:0 ~fuel:10 effects in
@@ -400,7 +400,7 @@ let test_speculative_ifetch_gated_by_code_region () =
   let fetched = ref [] in
   let effects =
     { Machine.spec_fetch = (fun a -> fetched := a :: !fetched);
-      Machine.spec_mem = (fun ~addr:_ ~write:_ -> ()) }
+      Machine.spec_mem = ignore }
   in
   (* In-region speculation executes; out-of-region speculation is gated. *)
   let inside = Machine.speculate m ~start:0 ~fuel:4 effects in
@@ -489,6 +489,240 @@ let test_trap_kinds_table () =
     cases
 
 (* ------------------------------------------------------------------ *)
+(* Wrong-path policy                                                   *)
+
+(* The machine the policy rows speculate in: [setup]'s memory, a hybrid
+   sandbox (unless [spec] is [None]) with a code region over the first
+   64 KiB of code, a 1 MiB data region at 0x2000_0000 and a 64 KiB
+   hmov region 0 at 0x3000_0000. The stack page [setup] maps at
+   0x1000_0000 is outside every region. *)
+let spec_in = 0x2000_0100
+let spec_out = 0x100f_0100
+let stack_in = 0x2008_0000
+let stack_out = 0x100f_0000
+let hybrid = Hfi_iface.default_hybrid_spec
+let serialized = { hybrid with Hfi_iface.is_serialized = true }
+
+let spec_data_region =
+  Hfi_iface.Implicit_data
+    { base_prefix = 0x2000_0000; lsb_mask = 0xfffff; permission_read = true; permission_write = true }
+
+let spec_machine ?(spec = Some hybrid) instrs =
+  let m = setup instrs in
+  let hfi = Machine.hfi m in
+  Addr_space.mmap (Machine.mem m) ~addr:0x3000_0000 ~len:0x1_0000 Perm.rw;
+  let set slot r = ignore (Hfi.exec_set_region hfi ~slot r) in
+  set 0 (Hfi_iface.Implicit_code { base_prefix = code_base; lsb_mask = 0xffff; permission_exec = true });
+  set 2 spec_data_region;
+  set 6
+    (Hfi_iface.Explicit_data
+       { base_address = 0x3000_0000; bound = 0x1_0000; permission_read = true;
+         permission_write = true; is_large_region = false });
+  Option.iter (fun s -> ignore (Hfi.exec_enter hfi s)) spec;
+  m
+
+(* [speculate] from [start], returning how many µops ran, their fetch
+   addresses and the d-cache reads, in order. *)
+let speculate_trace m ~start ~fuel =
+  let fetched = ref [] and reads = ref [] in
+  let fx =
+    { Machine.spec_fetch = (fun a -> fetched := a :: !fetched);
+      Machine.spec_mem = (fun a -> reads := a :: !reads) }
+  in
+  let n = Machine.speculate m ~start ~fuel fx in
+  (n, List.rev !fetched, List.rev !reads)
+
+let op_name (u : Uop.t) =
+  match u.Uop.op with
+  | Uop.Omov _ -> "mov" | Uop.Oload _ -> "load" | Uop.Ostore _ -> "store"
+  | Uop.Ohload _ -> "hload" | Uop.Ohstore _ -> "hstore" | Uop.Olea _ -> "lea"
+  | Uop.Oalu _ -> "alu" | Uop.Ocmp _ -> "cmp" | Uop.Ocmp_mem _ -> "cmp_mem"
+  | Uop.Ojmp _ -> "jmp" | Uop.Ojcc _ -> "jcc" | Uop.Ojmp_ind _ -> "jmp_ind"
+  | Uop.Ocall _ -> "call" | Uop.Ocall_ind _ -> "call_ind" | Uop.Oret -> "ret"
+  | Uop.Opush _ -> "push" | Uop.Opop _ -> "pop" | Uop.Osyscall -> "syscall"
+  | Uop.Ohfi_enter _ -> "hfi_enter" | Uop.Ohfi_exit -> "hfi_exit"
+  | Uop.Ohfi_reenter -> "hfi_reenter" | Uop.Ohfi_set_region _ -> "hfi_set_region"
+  | Uop.Ohfi_clear_region _ -> "hfi_clear_region" | Uop.Ohfi_clear_all -> "hfi_clear_all"
+  | Uop.Ohfi_get_region _ -> "hfi_get_region" | Uop.Ocpuid -> "cpuid"
+  | Uop.Ordtsc _ -> "rdtsc" | Uop.Ordmsr _ -> "rdmsr" | Uop.Oclflush _ -> "clflush"
+  | Uop.Omfence -> "mfence" | Uop.Onop -> "nop" | Uop.Ohalt -> "halt"
+
+let op_count = 32
+
+(* One row per µop shape: [speculate] with fuel 2 over [µop; Nop] runs
+   on into the Nop or stops at the µop, and the d-cache sees exactly
+   [reads]. A transient µop stops where its commit would fail the HFI
+   check (stores at their true width, hmov stores at their hmov check,
+   push and call at 8 bytes), trap, serialize or leave the sandbox;
+   [ret] reads its return address before a bad one stops it. *)
+let test_speculate_policy_table () =
+  let open Instr in
+  let rsp v m = Machine.set_reg m Reg.RSP v in
+  let rax_to i m = Machine.set_reg m Reg.RAX (Machine.addr_of_index m i) in
+  let ret_to addr_of m =
+    rsp stack_in m;
+    Addr_space.store (Machine.mem m) ~addr:stack_in ~bytes:8 (addr_of m)
+  in
+  let ( >> ) f g m = f m; g m in
+  let row ?(spec = Some hybrid) ?(prep = ignore) name instr runs_on reads =
+    (name, spec, prep, instr, runs_on, reads)
+  in
+  let rows =
+    [
+      row "mov" (Mov (Reg.RAX, Imm 1)) true [];
+      row "load in region" (Load (W8, Reg.RAX, Instr.mem ~disp:spec_in ())) true [ spec_in ];
+      row "load outside every region" (Load (W8, Reg.RAX, Instr.mem ~disp:spec_out ())) false [];
+      row ~spec:None "load, HFI off" (Load (W8, Reg.RAX, Instr.mem ~disp:spec_out ())) true
+        [ spec_out ];
+      row ~spec:None "load from an unmapped page" (Load (W8, Reg.RAX, Instr.mem ~disp:0x9999_0000 ()))
+        false [];
+      row "store in region" (Store (W8, Instr.mem ~disp:spec_in (), Imm 1)) true [];
+      row "store outside every region" (Store (W8, Instr.mem ~disp:spec_out (), Imm 1)) false [];
+      row "8-byte store across the region's end" (Store (W8, Instr.mem ~disp:0x200f_fffc (), Imm 1))
+        false [];
+      row "1-byte store at the region's last byte" (Store (W1, Instr.mem ~disp:0x200f_ffff (), Imm 1))
+        true [];
+      row "hload in bounds" (Hload (0, W8, Reg.RAX, Instr.mem ~disp:0x10 ())) true [ 0x3000_0010 ];
+      row "hload out of bounds" (Hload (0, W8, Reg.RAX, Instr.mem ~disp:0x1_0000 ())) false [];
+      row "hstore in bounds" (Hstore (0, W8, Instr.mem ~disp:0x10 (), Imm 1)) true [];
+      row "hstore out of bounds" (Hstore (0, W8, Instr.mem ~disp:0x1_0000 (), Imm 1)) false [];
+      row "lea" (Lea (Reg.RAX, Instr.mem ~disp:spec_out ())) true [];
+      row "add" (Alu (Add, Reg.RAX, Imm 3)) true [];
+      row "div by two" (Alu (Div, Reg.RAX, Imm 2)) true [];
+      row "div by zero" (Alu (Div, Reg.RAX, Imm 0)) false [];
+      row "cmp" (Cmp (Reg.RAX, Imm 0)) true [];
+      row "cmp_mem in region" (Cmp_mem (Reg.RAX, Instr.mem ~disp:spec_in ())) true [ spec_in ];
+      row "cmp_mem outside every region" (Cmp_mem (Reg.RAX, Instr.mem ~disp:spec_out ())) false [];
+      row "jmp" (Jmp 1) true [];
+      row "jcc" (Jcc (Eq, 1)) true [];
+      row ~prep:(rax_to 1) "jmp_ind into the code" (Jmp_ind Reg.RAX) true [];
+      row "jmp_ind off the code" (Jmp_ind Reg.RAX) false [];
+      row ~prep:(rsp stack_in) "call, stack in region" (Call 1) true [];
+      row ~prep:(rsp stack_out) "call, stack outside every region" (Call 1) false [];
+      row ~prep:(rsp stack_in >> rax_to 1) "call_ind, stack in region" (Call_ind Reg.RAX) true [];
+      row ~prep:(rsp stack_out >> rax_to 1) "call_ind, stack outside every region"
+        (Call_ind Reg.RAX) false [];
+      row ~prep:(rsp stack_in) "call_ind off the code" (Call_ind Reg.RAX) false [];
+      row ~prep:(ret_to (fun m -> Machine.addr_of_index m 1)) "ret into the code" Ret true [ stack_in ];
+      row ~prep:(ret_to (fun _ -> 5)) "ret off the code" Ret false [ stack_in ];
+      row ~prep:(rsp stack_out) "ret, stack outside every region" Ret false [];
+      row ~prep:(rsp stack_in) "push, stack in region" (Push Reg.RAX) true [];
+      row ~prep:(rsp stack_out) "push, stack outside every region" (Push Reg.RAX) false [];
+      row ~prep:(rsp stack_in) "pop, stack in region" (Pop Reg.RAX) true [ stack_in ];
+      row ~prep:(rsp stack_out) "pop, stack outside every region" (Pop Reg.RAX) false [];
+      row "syscall" Syscall false [];
+      row "hfi_enter, unserialized" (Hfi_enter hybrid) true [];
+      row "hfi_enter, serialized" (Hfi_enter serialized) false [];
+      row "hfi_exit, unserialized sandbox" Hfi_exit true [];
+      row ~spec:(Some serialized) "hfi_exit, serialized sandbox" Hfi_exit false [];
+      row ~spec:(Some { hybrid with Hfi_iface.switch_on_exit = true })
+        "hfi_exit, switch-on-exit sandbox" Hfi_exit false [];
+      row "hfi_reenter" Hfi_reenter false [];
+      row "hfi_set_region" (Hfi_set_region (3, spec_data_region)) false [];
+      row "hfi_clear_region" (Hfi_clear_region 3) false [];
+      row "hfi_clear_all" Hfi_clear_all_regions false [];
+      row "hfi_get_region" (Hfi_get_region (2, Reg.RAX)) true [];
+      row "cpuid" Cpuid false [];
+      row "rdtsc" (Rdtsc Reg.RAX) true [];
+      row "rdmsr" (Rdmsr Reg.RAX) true [];
+      row "clflush" (Clflush (Instr.mem ~disp:spec_in ())) true [];
+      row "mfence" Mfence false [];
+      row "nop" Nop true [];
+      row "halt" Halt false [];
+    ]
+  in
+  let covered = Hashtbl.create op_count in
+  List.iter
+    (fun (name, spec, prep, instr, runs_on, reads) ->
+      let m = spec_machine ~spec [ instr; Nop ] in
+      prep m;
+      let u = (Uop.decode (Machine.program m) ~code_base).(0) in
+      Hashtbl.replace covered (op_name u) ();
+      let n, fetched, got = speculate_trace m ~start:0 ~fuel:2 in
+      let ran = List.init n (Machine.addr_of_index m) in
+      if (n = 2) <> runs_on || fetched <> ran || got <> reads then
+        Alcotest.failf "%s: ran %d µops (want %d), fetched [%s], read [%s] (want [%s])" name n
+          (if runs_on then 2 else 1)
+          (String.concat "; " (List.map (Printf.sprintf "0x%x") fetched))
+          (String.concat "; " (List.map (Printf.sprintf "0x%x") got))
+          (String.concat "; " (List.map (Printf.sprintf "0x%x") reads)))
+    rows;
+  check_int "every µop constructor has a row" op_count (Hashtbl.length covered)
+
+(* A transient hfi_exit in an unserialized sandbox lifts the data check
+   for the rest of its window (the §3.4 risk), and only for that window. *)
+let test_speculate_exit_window () =
+  let open Instr in
+  let m = spec_machine [ Hfi_exit; Load (W8, Reg.RAX, Instr.mem ~disp:spec_out ()); Nop ] in
+  let n, _, reads = speculate_trace m ~start:0 ~fuel:3 in
+  check_int "exit, load and nop ran" 3 n;
+  check_bool "the out-of-region load reached the cache" true (reads = [ spec_out ]);
+  let n, _, reads = speculate_trace m ~start:1 ~fuel:2 in
+  check_int "the next window checks again" 1 n;
+  check_bool "and reads nothing" true (reads = [])
+
+(* From a committed state, the wrong path [speculate] takes is the path
+   commit is about to take. So at fixed points of every Sightglass
+   kernel's committed run, under every strategy, the transient fetch and
+   read addresses equal those of the next committed steps, up to the
+   first committed store (transient loads read committed memory) or the
+   transient stop (whose µop may be fetched and stop before it reads).
+   No engine is attached, so rdtsc reads 0 on both paths. *)
+let test_speculate_tracks_commit () =
+  let stride = 257 and window = 24 in
+  let spec_fetch = Array.make window 0 and spec_reads = Array.make window [] in
+  let j = ref (-1) in
+  let fx =
+    { Machine.spec_fetch = (fun a -> incr j; spec_fetch.(!j) <- a; spec_reads.(!j) <- []);
+      Machine.spec_mem = (fun a -> spec_reads.(!j) <- a :: spec_reads.(!j)) }
+  in
+  let windows = ref 0 and compared = ref 0 in
+  List.iter
+    (fun (name, w) ->
+      List.iter
+        (fun s ->
+          let inst = Hfi_wasm.Instance.instantiate ~strategy:s w in
+          let m = Hfi_wasm.Instance.machine inst in
+          let id = Printf.sprintf "%s/%s" name (Hfi_sfi.Strategy.to_string s) in
+          let rec go () =
+            match Machine.run ~fuel:stride m (fun _ _ -> ()) with
+            | Machine.Halted | Machine.Faulted _ -> ()
+            | Machine.Running ->
+              j := -1;
+              let n = Machine.speculate m ~start:(Machine.pc m) ~fuel:window fx in
+              incr windows;
+              (* [k] counts committed steps; -1 once the comparison ended *)
+              let k = ref 0 in
+              let observe _ (ev : Machine.event) =
+                if !k >= 0 then begin
+                  let store = ev.Machine.has_mem && ev.Machine.mem_write in
+                  let reads =
+                    if ev.Machine.has_mem && not store then [ ev.Machine.mem_addr ] else []
+                  in
+                  let last = !k = n - 1 && n < window in
+                  if ev.Machine.fetch_addr <> spec_fetch.(!k)
+                     || ((not last) && reads <> spec_reads.(!k))
+                  then
+                    Alcotest.failf "%s: window at fetch 0x%x, step %d: commit 0x%x [%s], spec 0x%x [%s]"
+                      id spec_fetch.(0) !k ev.Machine.fetch_addr
+                      (String.concat ";" (List.map string_of_int reads))
+                      spec_fetch.(!k)
+                      (String.concat ";" (List.map string_of_int spec_reads.(!k)));
+                  incr compared;
+                  if store || last || ev.Machine.signalled then k := -1 else incr k
+                end
+              in
+              (match Machine.run ~fuel:n m observe with
+              | Machine.Running -> go ()
+              | Machine.Halted | Machine.Faulted _ -> ())
+          in
+          go ())
+        Hfi_sfi.Strategy.all)
+    Hfi_workloads.Sightglass.all;
+  check_bool "windows opened" true (!windows > 1000);
+  check_bool "steps compared" true (!compared > 10 * !windows)
+
+(* ------------------------------------------------------------------ *)
 (* Fixpoint.solve on a toy interval domain                             *)
 
 let toy_cfg terms =
@@ -568,6 +802,11 @@ let suite =
     Alcotest.test_case "trap kinds: exact Msr per kind" `Quick test_trap_kinds_table;
     Alcotest.test_case "speculative ifetch gated by code region" `Quick
       test_speculative_ifetch_gated_by_code_region;
+    Alcotest.test_case "speculate: one row per µop shape" `Quick test_speculate_policy_table;
+    Alcotest.test_case "speculate: transient hfi_exit lifts checks for its window" `Quick
+      test_speculate_exit_window;
+    Alcotest.test_case "speculate: wrong path == next committed steps" `Quick
+      test_speculate_tracks_commit;
     Alcotest.test_case "tracer records commits" `Quick test_tracer;
     Alcotest.test_case "cycle result pretty-printer" `Quick test_pp_result;
     Alcotest.test_case "arithmetic and control flow" `Quick test_arith_and_flow;
